@@ -51,6 +51,7 @@ from .neuralnet import (
     path_importance,
     save_net,
     train,
+    train_many,
 )
 from .rng import RngSeed
 from .selection import (
@@ -142,6 +143,7 @@ __all__ = [
     "screen",
     "threshold_candidates",
     "train",
+    "train_many",
     "write_benchmark_csv",
     "write_dataset_csv",
     "write_json",

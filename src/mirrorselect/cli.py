@@ -17,7 +17,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy
@@ -57,17 +56,6 @@ _RUNNERS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command configuration shared by the subcommands."""
-
-    command: str
-    out_dir: Path
-    seed: RngSeed
-    threads: int
-    args: dict
-
-
 def _parse_threads(value: str) -> int:
     if value == "auto":
         return os.cpu_count() or 1
@@ -105,12 +93,6 @@ def _parse_hidden(value: str):
 def _add_common(sub):
     sub.add_argument("--out", required=True, help="output directory (created if missing)")
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sub.add_argument(
-        "--threads",
-        type=_parse_threads,
-        default=1,
-        help="worker processes for the benchmark driver, or 'auto'",
-    )
 
 
 def _add_kernel(sub):
@@ -188,6 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="repeated simulate+select")
     p_bench.add_argument("--reps", type=int, default=20)
+    p_bench.add_argument(
+        "--threads",
+        type=_parse_threads,
+        default=1,
+        help="worker processes for the repetitions, or 'auto'",
+    )
     _add_design(p_bench)
     _add_method(p_bench)
     _add_kernel(p_bench)

@@ -63,8 +63,12 @@ class KernelSpec:
             raise ConfigurationError(
                 f"polynomial degree must be an integer >= 1, got {self.degree}"
             )
-        if not math.isfinite(float(self.offset)):
-            raise ConfigurationError("polynomial offset must be finite")
+        offset = float(self.offset)
+        if not math.isfinite(offset) or offset < 0:
+            # (x.y + offset)^degree is not positive semidefinite below 0.
+            raise ConfigurationError(
+                f"polynomial offset must be finite and nonnegative, got {self.offset}"
+            )
 
     def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
         return KernelSpec(self.family, bandwidth, self.degree, self.offset)

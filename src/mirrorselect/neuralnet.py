@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -25,24 +26,34 @@ from .rng import RngSeed
 _SCALE_FLOOR = 1e-12
 
 
-def _relu(s):
-    return np.maximum(s, 0.0)
+# Forward activations take an optional ``out`` so the training loop can
+# apply them in place.  Derivatives are expressed through the activation
+# output a = act(s), which spares the backward pass a second tanh.
 
 
-def _drelu(s):
-    return (s > 0).astype(float)
+def _relu(s, out=None):
+    return np.maximum(s, 0.0, out=out)
 
 
-def _dtanh(s):
-    t = np.tanh(s)
-    return 1.0 - t * t
+def _dtanh(a):
+    d = np.multiply(a, a)
+    return np.subtract(1.0, d, out=d)
+
+
+def _drelu(a):
+    return a > 0
 
 
 ACTIVATIONS = {
     "tanh": (np.tanh, _dtanh),
     "relu": (_relu, _drelu),
-    "identity": (lambda s: s, lambda s: np.ones_like(s)),
+    "identity": (lambda s, out=None: s, lambda a: 1.0),
 }
+
+# Nets are fitted in groups whose stacked designs plus full-data
+# activations take at most this many bytes (about ten 300 x 51 nets with
+# hidden layers (32, 16)).
+_GROUP_BYTES = 2_500_000
 
 
 def default_hidden_sizes(d: int) -> tuple[int, int]:
@@ -145,12 +156,6 @@ class TrainedNet:
         """Number of hidden layers."""
         return len(self.weights) - 1
 
-    def _forward_internal(self, a: np.ndarray) -> np.ndarray:
-        act, _ = ACTIVATIONS[self.activation]
-        for t in range(len(self.weights) - 1):
-            a = act(a @ self.weights[t] + self.biases[t])
-        return (a @ self.weights[-1] + self.biases[-1])[:, 0]
-
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -161,50 +166,33 @@ class TrainedNet:
             )
         if self.input_mean is not None:
             x = (x - self.input_mean) / self.input_scale
-        out = self._forward_internal(x)
+        act, _ = ACTIVATIONS[self.activation]
+        out = _forward(x, self.weights, self.biases, act)[-1][:, 0]
         return out * self.target_scale + self.target_mean
 
 
-def _validate_training_data(inputs, targets):
+def _standardize(inputs, n: int, config: NetConfig, paired_columns):
+    """Validate one design and return (standardized design, mean, scale).
+
+    ``paired_columns`` is an iterable of (i, j) column index pairs that
+    share the root mean square of their two standard deviations.
+    """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
         raise InvalidDataError(f"inputs must be 2-d, got {x.ndim}-d")
-    y = np.asarray(targets, dtype=float).reshape(-1)
-    if x.shape[0] != y.shape[0]:
+    if x.shape[0] != n:
         raise InvalidDataError(
-            f"inputs have {x.shape[0]} rows but targets have {y.shape[0]}"
+            f"inputs have {x.shape[0]} rows but targets have {n}"
         )
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(x)):
         raise InvalidDataError("training data contains non-finite values")
-    return x, y
-
-
-def train(
-    inputs,
-    targets,
-    config: NetConfig = NetConfig(),
-    paired_columns=None,
-) -> TrainedNet:
-    """Fit a network to (inputs, targets).
-
-    ``paired_columns`` is an iterable of (i, j) column index pairs that
-    must share a standardization scale (the root mean square of the two
-    column standard deviations); mirrored halves pass through here so a
-    larger perturbation cannot shrink one half's effective weights.
-
-    Raises TrainingError, carrying the loss trace, if the loss leaves the
-    finite range.  The trace has one entry before training plus one per
-    epoch, all measured on the full data.
-    """
-    x, y = _validate_training_data(inputs, targets)
-    n, d = x.shape
     if n < config.batch_size:
         raise ConfigurationError(
             f"batch_size {config.batch_size} exceeds the {n} available rows"
         )
-
+    d = x.shape[1]
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     if paired_columns is not None:
@@ -215,88 +203,200 @@ def train(
             scale[i] = shared
             scale[j] = shared
     scale = np.where(scale < _SCALE_FLOOR, 1.0, scale)
-    xs = (x - mean) / scale
+    return (x - mean) / scale, mean, scale
 
+
+def _forward(a, weights, biases, act) -> list[np.ndarray]:
+    """The input, every hidden layer's activations, then the output."""
+    acts = [a]
+    for t, (w, b) in enumerate(zip(weights, biases)):
+        s = np.matmul(acts[-1], w)
+        s += b
+        acts.append(s if t == len(weights) - 1 else act(s, out=s))
+    return acts
+
+
+def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
+    """Minibatch SGD on a stack of nets; net i sees only ``xs[i]``.
+
+    Parameters are stacked along a leading axis: weights (g, d_in, d_out),
+    biases (g, 1, d_out).  Each slice goes through the same arithmetic in
+    the same order whatever is stacked beside it, so a net's result does
+    not depend on its group.  A net whose full-data loss turns non-finite
+    is dropped from the stack at the end of that epoch.
+
+    Returns, per net, (weights, biases, loss trace) or a TrainingError.
+    """
+    g, n, _ = xs.shape
+    act, dact = ACTIVATIONS[config.activation]
+    lr = config.learning_rate
+    gens = [seed.generator() for seed in seeds]
+    weights = [np.empty((g, a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
+    for i, gen in enumerate(gens):
+        for w in weights:
+            limit = config.weight_init_scale / math.sqrt(w.shape[1])
+            w[i] = gen.uniform(-limit, limit, size=w.shape[1:])
+    biases = [np.zeros((g, 1, b)) for b in sizes[1:]]
+
+    def full_losses() -> np.ndarray:
+        err = _forward(xs, weights, biases, act)[-1][:, :, 0]
+        err -= ys
+        np.square(err, out=err)
+        return err.mean(axis=1)
+
+    nets = list(range(g))  # the net held in each stack slot
+    traces = [[float(v)] for v in full_losses()]
+    outcomes = [None] * g
+    for epoch in range(1, config.epochs + 1):
+        perm = np.stack([gen.permutation(n) for gen in gens])
+        rows = np.arange(len(nets))[:, None]
+        for start in range(0, n, config.batch_size):
+            idx = perm[:, start : start + config.batch_size]
+            acts = _forward(xs[rows, idx], weights, biases, act)
+            # d_s: loss gradient at the pre-activations of layer t + 1
+            d_s = acts.pop()
+            d_s[:, :, 0] -= ys[idx]
+            d_s *= 2.0 / idx.shape[1]
+            for t in range(len(weights) - 1, -1, -1):
+                grad_w = np.matmul(acts[t].transpose(0, 2, 1), d_s)
+                grad_b = d_s.sum(axis=1, keepdims=True)
+                if t > 0:
+                    d_s = np.matmul(d_s, weights[t].transpose(0, 2, 1))
+                    d_s *= dact(acts[t])
+                grad_w *= lr
+                grad_b *= lr
+                weights[t] -= grad_w
+                biases[t] -= grad_b
+        losses = full_losses()
+        for net, loss in zip(nets, losses):
+            traces[net].append(float(loss))
+        finite = np.isfinite(losses)
+        if finite.all():
+            continue
+        for slot in np.flatnonzero(~finite):
+            net = nets[slot]
+            outcomes[net] = TrainingError(
+                f"loss became non-finite at epoch {epoch} "
+                f"(learning rate {lr} may be too large)",
+                trace=traces[net],
+            )
+        keep = np.flatnonzero(finite)
+        if not keep.size:
+            return outcomes
+        xs = xs[keep]
+        weights = [w[keep] for w in weights]
+        biases = [b[keep] for b in biases]
+        gens = [gens[slot] for slot in keep]
+        nets = [nets[slot] for slot in keep]
+    for slot, net in enumerate(nets):
+        outcomes[net] = (
+            [w[slot].copy() for w in weights],
+            [b[slot, 0].copy() for b in biases],
+            traces[net],
+        )
+    return outcomes
+
+
+def train_many(
+    designs,
+    targets,
+    config: NetConfig,
+    seeds,
+    paired_columns=None,
+) -> list:
+    """Fit k same-shape nets that share targets and hyper-parameters.
+
+    Net i trains on the i-th of the k matrices that ``designs`` yields,
+    draws its initial weights and epoch permutations from ``seeds[i]``
+    (``config.seed`` is not used) and shares scales across the column
+    pairs in ``paired_columns[i]``.  Each net comes out bitwise equal to
+    ``train`` fitting it alone.
+
+    The nets are trained stacked, in groups whose designs and full-data
+    activations fit a fixed memory budget.  ``designs`` is consumed one
+    group at a time, so a generator keeps only the current group's
+    designs in memory.
+
+    Returns one entry per net: its TrainedNet, or the TrainingError that
+    ``train`` would have raised for it.  A diverging net leaves the other
+    nets' results unchanged.
+    """
+    seeds = list(seeds)
+    k = len(seeds)
+    pairs = [None] * k if paired_columns is None else list(paired_columns)
+    if len(pairs) != k:
+        raise ConfigurationError(
+            f"got {len(pairs)} paired-column lists for {k} nets"
+        )
+    y = np.asarray(targets, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(y)):
+        raise InvalidDataError("training data contains non-finite values")
+    n = y.shape[0]
     y_mean = float(y.mean())
     y_scale = float(y.std())
     if y_scale < _SCALE_FLOOR:
         y_scale = 1.0
     ys = (y - y_mean) / y_scale
 
-    hidden = config.hidden_sizes
-    if hidden is None:
-        hidden = default_hidden_sizes(d)
-    sizes = [d, *hidden, 1]
-
-    gen = config.seed.generator()
-    weights = []
-    biases = []
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        limit = config.weight_init_scale / math.sqrt(a)
-        weights.append(gen.uniform(-limit, limit, size=(a, b)))
-        biases.append(np.zeros(b))
-
-    act, dact = ACTIVATIONS[config.activation]
-    n_layers = len(weights)
-
-    def full_loss() -> float:
-        a = xs
-        for t in range(n_layers - 1):
-            a = act(a @ weights[t] + biases[t])
-        out = (a @ weights[-1] + biases[-1])[:, 0]
-        return float(np.mean((out - ys) ** 2))
-
-    trace = [full_loss()]
-    lr = config.learning_rate
-    for _ in range(config.epochs):
-        perm = gen.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            xb = xs[idx]
-            yb = ys[idx]
-            pres = []
-            acts = [xb]
-            a = xb
-            for t in range(n_layers - 1):
-                s = a @ weights[t] + biases[t]
-                pres.append(s)
-                a = act(s)
-                acts.append(a)
-            out = (a @ weights[-1] + biases[-1])[:, 0]
-            delta = (2.0 / idx.shape[0]) * (out - yb)
-
-            grad_w = [None] * n_layers
-            grad_b = [None] * n_layers
-            grad_w[-1] = acts[-1].T @ delta[:, None]
-            grad_b[-1] = np.array([delta.sum()])
-            d_a = delta[:, None] @ weights[-1].T
-            for t in range(n_layers - 2, -1, -1):
-                d_s = d_a * dact(pres[t])
-                grad_w[t] = acts[t].T @ d_s
-                grad_b[t] = d_s.sum(axis=0)
-                if t > 0:
-                    d_a = d_s @ weights[t].T
-            for t in range(n_layers):
-                weights[t] -= lr * grad_w[t]
-                biases[t] -= lr * grad_b[t]
-        loss = full_loss()
-        trace.append(loss)
-        if not math.isfinite(loss):
-            raise TrainingError(
-                f"loss became non-finite at epoch {len(trace) - 1} "
-                f"(learning rate {lr} may be too large)",
-                trace=trace,
+    prepared = (_standardize(x, n, config, p) for x, p in zip(designs, pairs))
+    results = []
+    sizes = None
+    for head in prepared:
+        if sizes is None:
+            d = head[0].shape[1]
+            sizes = [d, *(config.hidden_sizes or default_hidden_sizes(d)), 1]
+            group_size = max(1, _GROUP_BYTES // (8 * n * sum(sizes)))
+        g = min(group_size, k - len(results))
+        # k = 1 trains on a view of the design; larger groups copy each
+        # design into its slot as it is built.
+        stack = head[0][None] if g == 1 else np.empty((g, n, d))
+        scalers = []
+        for slot, (xs, mean, scale) in zip(range(g), chain([head], prepared)):
+            if xs.shape[1] != d:
+                raise InvalidDataError(
+                    f"design {len(results) + slot} has {xs.shape[1]} "
+                    f"columns, expected {d}"
+                )
+            if g > 1:
+                stack[slot] = xs
+            scalers.append((mean, scale))
+        if len(scalers) < g:
+            break
+        seeds_g = seeds[len(results) : len(results) + g]
+        for fit, (mean, scale) in zip(_fit_stack(stack, ys, seeds_g, sizes, config), scalers):
+            if isinstance(fit, TrainingError):
+                results.append(fit)
+                continue
+            w, b, trace = fit
+            results.append(
+                TrainedNet(w, b, config.activation, trace, mean, scale, y_mean, y_scale)
             )
-    return TrainedNet(
-        weights,
-        biases,
-        config.activation,
-        trace,
-        mean,
-        scale,
-        y_mean,
-        y_scale,
-    )
+    if len(results) != k:
+        raise ConfigurationError(f"expected {k} designs, got fewer")
+    return results
+
+
+def train(
+    inputs,
+    targets,
+    config: NetConfig = NetConfig(),
+    paired_columns=None,
+) -> TrainedNet:
+    """Fit a network to (inputs, targets), seeded by ``config.seed``.
+
+    ``paired_columns`` is an iterable of (i, j) column index pairs that
+    must share a standardization scale (the root mean square of the two
+    column standard deviations); mirrored halves pass through here so a
+    larger perturbation cannot shrink one half's effective weights.
+
+    Raises TrainingError, carrying the loss trace, if the loss leaves the
+    finite range.  The trace has one entry before training plus one per
+    epoch, all measured on the full data.
+    """
+    (net,) = train_many([inputs], targets, config, [config.seed], [paired_columns])
+    if isinstance(net, TrainingError):
+        raise net
+    return net
 
 
 @dataclass(frozen=True)
@@ -353,9 +453,8 @@ def gradient_importance(net: TrainedNet, at_point) -> ImportanceVector:
     a = v[None, :]
     chain = net.weights[0]
     for t in range(len(net.weights) - 1):
-        s = (a @ net.weights[t] + net.biases[t])[0]
-        chain = (chain * dact(s)[None, :]) @ net.weights[t + 1]
-        a = act(s)[None, :]
+        a = act(a @ net.weights[t] + net.biases[t])
+        chain = (chain * dact(a)) @ net.weights[t + 1]
     values = chain[:, 0] * net.target_scale
     if net.input_scale is not None:
         values = values / net.input_scale

@@ -32,7 +32,7 @@ from .dataset import Dataset
 from .errors import ConfigurationError, InvalidDataError, TrainingError
 from .kernelmeasure import KernelSpec, SearchConfig
 from .mirror import MirrorPair, make_all_mirrors
-from .neuralnet import NetConfig, path_importance, train
+from .neuralnet import NetConfig, path_importance, train, train_many
 from .rng import RngSeed
 
 _STREAM_SCREEN = 1
@@ -368,26 +368,28 @@ def run_ingm(
     )
     mirrors = make_all_mirrors(working, spec, rng.child(_STREAM_MIRROR), search)
     train_rng = rng.child(_STREAM_TRAIN)
+    designs = (
+        np.column_stack(
+            [working.x[:, :i], pair.x_plus, pair.x_minus, working.x[:, i + 1 :]]
+        )
+        for i, pair in enumerate(mirrors)
+    )
+    nets = train_many(
+        designs,
+        working.y,
+        replace(net, batch_size=min(net.batch_size, working.n)),
+        [train_rng.named_child(pair.name) for pair in mirrors],
+        [[(i, i + 1)] for i in range(len(mirrors))],
+    )
     l_plus_active = []
     l_minus_active = []
     failed = []
     failures = []
-    for i, pair in enumerate(mirrors):
-        inputs = np.column_stack(
-            [working.x[:, :i], pair.x_plus, pair.x_minus, working.x[:, i + 1 :]]
-        )
-        net_config = replace(
-            net,
-            seed=train_rng.named_child(pair.name),
-            batch_size=min(net.batch_size, working.n),
-        )
-        try:
-            trained = train(
-                inputs, working.y, net_config, paired_columns=[(i, i + 1)]
-            )
-        except TrainingError as err:
+    for i, (pair, trained) in enumerate(zip(mirrors, nets)):
+        if isinstance(trained, TrainingError):
+            trained.feature_index = active[i]
             failed.append(active[i])
-            failures.append(f"{pair.name}: {err}")
+            failures.append(f"{pair.name}: {trained}")
             l_plus_active.append(0.0)
             l_minus_active.append(0.0)
             continue
@@ -397,7 +399,8 @@ def run_ingm(
     if len(failed) > _MAX_FAILURE_FRACTION * len(mirrors):
         raise TrainingError(
             f"{len(failed)} of {len(mirrors)} per-feature networks failed "
-            f"to train: " + "; ".join(failures[:5])
+            f"to train: " + "; ".join(failures[:5]),
+            feature_index=failed[0],
         )
     method = "s_ingm" if screen_opts is not None else "ingm"
     return _assemble(

@@ -291,6 +291,44 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    def test_threads_only_for_benchmark(self, tmp_path, capsys):
+        sim = _simulate(tmp_path, "sim8")
+        data = ["--data", str(sim / "dataset.csv")]
+        truth = ["--truth", str(sim / "truth.json")]
+        for argv in (
+            ["select", *data, *SELECT_FLAGS],
+            ["roc", *data, *truth, *SELECT_FLAGS],
+            ["simulate", "--n", "10", "--p", "4"],
+        ):
+            out = tmp_path / f"threads-{argv[0]}"
+            code = main([*argv, "--threads", "2", "--out", str(out)])
+            assert code == 2
+            assert not out.exists()
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        out = tmp_path / "bench"
+        code = main(
+            [
+                "benchmark", "--n", "60", "--p", "5", "--k", "1",
+                "--coef-sd", "12", "--reps", "2", "--method", "sngm",
+                "--q", "0.2", "--hidden", "8", "--epochs", "5",
+                "--threads", "2", "--seed", "3", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == 2
+
+    def test_negative_polynomial_offset_exits_2(self, tmp_path, capsys):
+        sim = _simulate(tmp_path, "sim9")
+        out = tmp_path / "poly"
+        code = main(["select", "--data", str(sim / "dataset.csv"), *SELECT_FLAGS,
+                     "--kernel", "polynomial", "--offset", "-0.5",
+                     "--out", str(out)])
+        capsys.readouterr()
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigurationError"
+
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(["select", "--data", str(tmp_path / "absent.csv"),

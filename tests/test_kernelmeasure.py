@@ -36,6 +36,9 @@ def test_kernel_spec_validation():
         KernelSpec("polynomial", degree=0)
     with pytest.raises(ConfigurationError):
         KernelSpec("polynomial", offset=np.inf)
+    with pytest.raises(ConfigurationError):
+        KernelSpec("polynomial", offset=-0.5)  # not positive semidefinite
+    assert KernelSpec("polynomial", offset=0.0).offset == 0.0
 
 
 def test_linear_gram_by_hand():

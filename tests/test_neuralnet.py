@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,9 @@ from mirrorselect import (
     path_importance,
     save_net,
     train,
+    train_many,
 )
+from mirrorselect import neuralnet
 
 
 def _random_net(gen, widths, activation="tanh", zero_bias=False):
@@ -174,6 +177,113 @@ def test_predictions_on_raw_scale(gen):
     net = train(x, y, cfg)
     pred = net.predict(x)
     assert np.mean((pred - y) ** 2) < 0.25 * np.var(y)
+
+
+# ---------------------------------------------------------- stacked training
+
+
+def _fit_alone(designs, y, cfg, seeds, pairs):
+    """Per-net ``train``, with a diverging net's error in place of a net."""
+    out = []
+    for x, seed, pair in zip(designs, seeds, pairs):
+        try:
+            out.append(train(x, y, replace(cfg, seed=seed), paired_columns=pair))
+        except TrainingError as err:
+            out.append(err)
+    return out
+
+
+def _assert_identical(stacked, alone):
+    assert len(stacked) == len(alone)
+    for a, b in zip(stacked, alone):
+        assert type(a) is type(b)
+        if isinstance(b, TrainingError):
+            assert str(a) == str(b)
+            assert np.array_equal(a.trace, b.trace, equal_nan=True)
+            continue
+        assert a.loss_trace == b.loss_trace
+        for wa, wb in zip(a.weights, b.weights):
+            assert np.array_equal(wa, wb)
+        for ba, bb in zip(a.biases, b.biases):
+            assert np.array_equal(ba, bb)
+        assert np.array_equal(a.input_mean, b.input_mean)
+        assert np.array_equal(a.input_scale, b.input_scale)
+        assert (a.target_mean, a.target_scale) == (b.target_mean, b.target_scale)
+
+
+def _stack_problem(gen, k, n=70, d=5):
+    designs = [gen.standard_normal((n, d)) * gen.uniform(0.5, 3.0, d) for _ in range(k)]
+    y = designs[0][:, 0] - 0.5 * designs[0][:, 2] + gen.standard_normal(n)
+    seeds = [RngSeed(17, i) for i in range(k)]
+    pairs = [[(i % d, (i + 1) % d)] for i in range(k)]
+    return designs, y, seeds, pairs
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+@pytest.mark.parametrize("k", [1, 7])
+def test_train_many_equals_train(gen, activation, k):
+    # batch 32 of 70 rows leaves a ragged last minibatch of 6
+    designs, y, seeds, pairs = _stack_problem(gen, k)
+    cfg = NetConfig(hidden_sizes=(6, 3), activation=activation, epochs=12,
+                    batch_size=32, learning_rate=1e-2)
+    stacked = train_many(iter(designs), y, cfg, seeds, pairs)
+    _assert_identical(stacked, _fit_alone(designs, y, cfg, seeds, pairs))
+
+
+def test_train_many_across_groups(gen, monkeypatch):
+    # a budget of two nets per group spreads seven nets over four groups
+    designs, y, seeds, pairs = _stack_problem(gen, 7)
+    cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32,
+                    learning_rate=1e-2)
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", 2 * 8 * 70 * (5 + 6 + 3 + 1))
+    pulled = []
+    pulled_per_group = []
+    fit_stack = neuralnet._fit_stack
+
+    def recording_fit_stack(xs, *args):
+        pulled_per_group.append(len(pulled))
+        return fit_stack(xs, *args)
+
+    def lazily():
+        for x in designs:
+            pulled.append(x)
+            yield x
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
+    stacked = train_many(lazily(), y, cfg, seeds, pairs)
+    # each group is trained before the next group's designs are built
+    assert pulled_per_group == [2, 4, 6, 7]
+    _assert_identical(stacked, _fit_alone(designs, y, cfg, seeds, pairs))
+
+
+def test_train_many_isolates_divergence(gen):
+    # at this learning rate some nets diverge, at different epochs, and
+    # the others converge; the stacked run must agree net by net
+    n, d, k = 60, 4, 12
+    x = gen.standard_normal((n, d))
+    y = gen.standard_normal(n)
+    cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=30,
+                    batch_size=16, learning_rate=1.0)
+    seeds = [RngSeed(5, i) for i in range(k)]
+    with np.errstate(all="ignore"):
+        stacked = train_many([x] * k, y, cfg, seeds)
+        alone = _fit_alone([x] * k, y, cfg, seeds, [None] * k)
+    failed = [isinstance(r, TrainingError) for r in alone]
+    assert 0 < sum(failed) < k
+    assert len({len(r.trace) for r in alone if isinstance(r, TrainingError)}) > 1
+    _assert_identical(stacked, alone)
+
+
+def test_train_many_validation(gen):
+    x = gen.standard_normal((40, 3))
+    cfg = NetConfig(hidden_sizes=(4,), epochs=1, batch_size=10)
+    seeds = [RngSeed(0, i) for i in range(2)]
+    with pytest.raises(ConfigurationError):
+        train_many([x, x], x[:, 0], cfg, seeds, [None])
+    with pytest.raises(ConfigurationError):
+        train_many([x], x[:, 0], cfg, seeds)
+    with pytest.raises(InvalidDataError):
+        train_many([x, x[:, :2]], x[:, 0], cfg, seeds)
 
 
 # ------------------------------------------------------------- importances

@@ -15,6 +15,7 @@ from mirrorselect import (
     NetConfig,
     RngSeed,
     ScreenOptions,
+    TrainingError,
     adaptive_threshold,
     estimate_fdp,
     fdp_curve,
@@ -24,6 +25,7 @@ from mirrorselect import (
     screen,
     threshold_candidates,
 )
+from mirrorselect import selection
 from mirrorselect.selection import default_m_keep
 
 LINEAR = KernelSpec("linear")
@@ -326,6 +328,40 @@ class TestRunIngm:
         b = run_ingm(ds, q=0.2, spec=LINEAR, net=FAST_NET, rng=RngSeed(11))
         assert a.selected == b.selected
         np.testing.assert_array_equal(a.stats.m, b.stats.m)
+
+    def test_diverging_nets_isolated_then_abort(self, monkeypatch):
+        # relu nets on the edge of divergence: at lr 0.5 one of the ten
+        # per-feature nets diverges, at lr 0.6 two do (more than a tenth)
+        gen = RngSeed(40).child(99).generator()
+        x = gen.standard_normal((60, 10))
+        ds = Dataset(x, 3.0 * x[:, 0] + gen.standard_normal(60))
+
+        def net(lr):
+            return NetConfig(hidden_sizes=(8,), activation="relu", epochs=20,
+                             batch_size=16, learning_rate=lr)
+
+        fits = []
+        train_many = selection.train_many
+
+        def recording_train_many(*args):
+            fits[:] = train_many(*args)
+            return fits
+
+        monkeypatch.setattr(selection, "train_many", recording_train_many)
+        with np.errstate(all="ignore"):
+            res = run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.5), rng=RngSeed(2))
+        assert res.failed == (8,)
+        assert res.stats.m[8] == 0.0
+        assert res.stats.importance_plus[8] == res.stats.importance_minus[8] == 0.0
+        assert 8 not in res.selected
+        assert np.count_nonzero(res.stats.m) == 9
+        errors = [fit for fit in fits if isinstance(fit, TrainingError)]
+        assert [err.feature_index for err in errors] == [8]
+
+        with pytest.raises(TrainingError) as info, np.errstate(all="ignore"):
+            run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.6), rng=RngSeed(2))
+        assert str(info.value).startswith("2 of 10 per-feature networks failed")
+        assert info.value.feature_index == 3
 
     def test_sngm_faster_for_ten_plus_features(self):
         # joint run trains one network, individual run trains twelve
