@@ -47,9 +47,7 @@ from .neuralnet import (
     TrainedNet,
     default_hidden_sizes,
     gradient_importance,
-    load_net,
     path_importance,
-    save_net,
     train,
     train_many,
 )
@@ -124,7 +122,6 @@ __all__ = [
     "gradient_importance",
     "gram_matrix",
     "load_csv",
-    "load_net",
     "load_truth",
     "make_all_mirrors",
     "make_mirror",
@@ -139,7 +136,6 @@ __all__ = [
     "run_sngm",
     "sample_design",
     "sample_response",
-    "save_net",
     "screen",
     "threshold_candidates",
     "train",

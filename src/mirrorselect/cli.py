@@ -199,6 +199,18 @@ def _kernel_from_args(args) -> KernelSpec:
     return KernelSpec(args.kernel, args.bandwidth, args.degree, args.offset)
 
 
+def _design_from_args(args) -> tuple[DesignSpec, ModelSpec]:
+    design = DesignSpec(args.n, args.p, args.structure, args.rho)
+    model = ModelSpec(
+        kind=args.model,
+        link=args.link,
+        k_signals=args.k,
+        coef_sd=args.coef_sd,
+        noise_sd=args.noise_sd,
+    )
+    return design, model
+
+
 def _net_from_args(args) -> NetConfig:
     return NetConfig(
         hidden_sizes=args.hidden,
@@ -256,14 +268,7 @@ def _cmd_select(args, out_dir: Path) -> None:
 
 
 def _cmd_simulate(args, out_dir: Path) -> None:
-    design = DesignSpec(args.n, args.p, args.structure, args.rho)
-    model = ModelSpec(
-        kind=args.model,
-        link=args.link,
-        k_signals=args.k,
-        coef_sd=args.coef_sd,
-        noise_sd=args.noise_sd,
-    )
+    design, model = _design_from_args(args)
     rng = RngSeed(args.seed)
     x = sample_design(design, rng.child(0))
     sample = sample_response(x, model, rng.child(1))
@@ -293,14 +298,7 @@ def _cmd_simulate(args, out_dir: Path) -> None:
 
 
 def _cmd_benchmark(args, out_dir: Path) -> None:
-    design = DesignSpec(args.n, args.p, args.structure, args.rho)
-    model = ModelSpec(
-        kind=args.model,
-        link=args.link,
-        k_signals=args.k,
-        coef_sd=args.coef_sd,
-        noise_sd=args.noise_sd,
-    )
+    design, model = _design_from_args(args)
     result = run_benchmark(
         design,
         model,

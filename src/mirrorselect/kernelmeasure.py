@@ -277,38 +277,20 @@ def _conditioning_block(w, n: int) -> np.ndarray:
     return block
 
 
-def _quartic_coefficients(x: np.ndarray, z: np.ndarray, w: np.ndarray):
-    """Coefficients (alpha, beta, gamma) of the linear-kernel objective
+def _linear_result(wt_x2, wt_z2, abs_wt_z2, n: int) -> CMinimizationResult:
+    """Closed-form minimizer of the linear-kernel objective
 
         G(c) = alpha - 2 beta c**2 + gamma c**4,
 
-    where G(c) = n**2 * dep(x + c z, x - c z | w) for already-centered x
-    and z.  Also returns the scale used for the degeneracy check."""
-    x2 = x * x
-    z2 = z * z
-    if w.shape[1] == 0:
-        # Conditioning on nothing: K_W is all ones, so quadratic forms
-        # collapse to products of sums.  z2 >= 0, so gamma is free of
-        # cancellation and is its own magnitude reference.
-        sx, sz = x2.sum(), z2.sum()
-        alpha = sx * sx
-        beta = sx * sz
-        gamma = sz * sz
-        denom_scale = gamma
-    else:
-        wt_x2 = w.T @ x2
-        wt_z2 = w.T @ z2
-        alpha = float(wt_x2 @ wt_x2)
-        beta = float(wt_x2 @ wt_z2)
-        gamma = float(wt_z2 @ wt_z2)
-        # Cancellation-free magnitude of gamma: if gamma is tiny against
-        # this, the denominator is zero up to rounding.
-        ref = np.abs(w).T @ z2
-        denom_scale = float(ref @ ref)
-    return float(alpha), float(beta), float(gamma), float(denom_scale)
-
-
-def _closed_form_from_coefficients(alpha, beta, gamma, denom_scale, n):
+    where G(c) = n**2 * dep(x + c z, x - c z | W) for centered x and z.
+    The inputs are W'x**2, W'z**2 and |W|'z**2 (squares taken entrywise);
+    each coefficient is an inner product of two of them."""
+    alpha = float(wt_x2 @ wt_x2)
+    beta = float(wt_x2 @ wt_z2)
+    gamma = float(wt_z2 @ wt_z2)
+    # Cancellation-free magnitude of gamma: if gamma is tiny against
+    # this, the denominator is zero up to rounding.
+    denom_scale = float(abs_wt_z2 @ abs_wt_z2)
     if not all(map(math.isfinite, (alpha, beta, gamma))):
         raise NumericalError("quartic coefficients are non-finite")
     if gamma <= _DENOM_REL_TOL * max(denom_scale, 1e-300):
@@ -348,8 +330,14 @@ def closed_form_c_linear(x, z, w=None, center: bool = True) -> CMinimizationResu
     if center:
         x = x - x.mean()
         z = z - z.mean()
-    alpha, beta, gamma, denom_scale = _quartic_coefficients(x, z, w_block)
-    return _closed_form_from_coefficients(alpha, beta, gamma, denom_scale, n)
+    x2 = x * x
+    z2 = z * z
+    if w_block.shape[1] == 0:
+        # Conditioning on nothing: K_W is all ones, as for the single
+        # column W = 1, so each product collapses to a sum.
+        sz = np.array([z2.sum()])
+        return _linear_result(np.array([x2.sum()]), sz, sz, n)
+    return _linear_result(w_block.T @ x2, w_block.T @ z2, np.abs(w_block).T @ z2, n)
 
 
 def _golden_section(f, a: float, b: float, tol: float):

@@ -13,6 +13,7 @@ others, and permuting columns permutes the mirrors with them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .kernelmeasure import (
     CMinimizationResult,
     KernelSpec,
     SearchConfig,
-    _closed_form_from_coefficients,
+    _linear_result,
     minimize_c,
 )
 from .rng import RngSeed
@@ -72,6 +73,15 @@ def _exact_complement(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     return rest
 
 
+@contextmanager
+def _naming_feature(dataset: Dataset, j: int):
+    """Prefix any MirrorSelectError raised inside with feature j's name."""
+    try:
+        yield
+    except MirrorSelectError as err:
+        raise type(err)(f"feature {j} ({dataset.names[j]}): {err}") from err
+
+
 def _pair_from_result(
     dataset: Dataset, j: int, z: np.ndarray, result: CMinimizationResult
 ) -> MirrorPair:
@@ -86,6 +96,15 @@ def _pair_from_result(
         x_plus=x_plus,
         x_minus=x_minus,
     )
+
+
+def _searched_pair(
+    dataset: Dataset, j: int, z: np.ndarray, spec: KernelSpec, search: SearchConfig
+) -> MirrorPair:
+    with _naming_feature(dataset, j):
+        w = np.delete(dataset.x, j, axis=1)
+        result = minimize_c(dataset.x[:, j], z, w, spec, search)
+    return _pair_from_result(dataset, j, z, result)
 
 
 def make_mirror(
@@ -104,49 +123,7 @@ def make_mirror(
         raise ConfigurationError(f"mirroring needs n >= 3 rows, got {dataset.n}")
     j = int(feature_index)
     z = _draw_z(rng, dataset.names[j], dataset.n)
-    w = np.delete(dataset.x, j, axis=1)
-    result = minimize_c(dataset.x[:, j], z, w, spec, search)
-    return _pair_from_result(dataset, j, z, result)
-
-
-def _linear_fast_results(
-    dataset: Dataset, zs: list[np.ndarray]
-) -> list[CMinimizationResult]:
-    """Closed-form scales for every feature in O(n^2) each.
-
-    Uses the full Gram matrix G = X X' once; the conditioning block for
-    feature j then acts as G - x_j x_j', so no per-feature (n, p-1)
-    matrix is ever formed.
-    """
-    x_all = dataset.x
-    n = dataset.n
-    gram = x_all @ x_all.T
-    gram_abs = np.abs(gram)
-    out = []
-    for j in range(dataset.p):
-        x_raw = x_all[:, j]
-        xc = x_raw - x_raw.mean()
-        zc = zs[j] - zs[j].mean()
-        x2 = xc * xc
-        z2 = zc * zc
-        g_x2 = gram @ x2
-        g_z2 = gram @ z2
-        xj_x2 = float(x_raw @ x2)
-        xj_z2 = float(x_raw @ z2)
-        alpha = float(x2 @ g_x2) - xj_x2 * xj_x2
-        beta = float(x2 @ g_z2) - xj_x2 * xj_z2
-        gamma = float(z2 @ g_z2) - xj_z2 * xj_z2
-        # Upper bound on the cancellation-free magnitude of gamma.
-        denom_scale = float(z2 @ (gram_abs @ z2)) + float(np.abs(x_raw) @ z2) ** 2
-        try:
-            out.append(
-                _closed_form_from_coefficients(alpha, beta, gamma, denom_scale, n)
-            )
-        except MirrorSelectError as err:
-            raise type(err)(
-                f"feature {j} ({dataset.names[j]}): {err}"
-            ) from err
-    return out
+    return _searched_pair(dataset, j, z, spec, search)
 
 
 def make_all_mirrors(
@@ -157,27 +134,35 @@ def make_all_mirrors(
 ) -> list[MirrorPair]:
     """Mirror every feature of the dataset.
 
-    Linear kernels with p >= 2 take a shared-Gram path whose total cost
-    grows linearly in p (times n^2); other kernels run the scalar search
-    feature by feature.  Output order follows column order, and entry j
-    equals ``make_mirror(dataset, j, ...)`` with the same arguments up to
-    floating point summation order in the linear fast path.
+    Output order follows column order, and entry j equals
+    ``make_mirror(dataset, j, ...)`` with the same arguments, up to
+    floating point summation order for linear kernels with p >= 2.
+    Those take the closed form from products with the full X, whose
+    entry j is dropped, so no copy of the remaining columns is made and
+    the cost is O(n p) per feature.
     """
     if dataset.n < 3:
         raise ConfigurationError(f"mirroring needs n >= 3 rows, got {dataset.n}")
     zs = [_draw_z(rng, name, dataset.n) for name in dataset.names]
+    # With p = 1 there is nothing to condition on; minimize_c handles that.
+    if spec.family != "linear" or dataset.p == 1:
+        return [
+            _searched_pair(dataset, j, z, spec, search) for j, z in enumerate(zs)
+        ]
+    x_all = dataset.x
+    x_abs = np.abs(x_all)
     pairs = []
-    if spec.family == "linear" and dataset.p >= 2:
-        for j, result in enumerate(_linear_fast_results(dataset, zs)):
-            pairs.append(_pair_from_result(dataset, j, zs[j], result))
-        return pairs
-    for j in range(dataset.p):
-        w = np.delete(dataset.x, j, axis=1)
-        try:
-            result = minimize_c(dataset.x[:, j], zs[j], w, spec, search)
-        except MirrorSelectError as err:
-            raise type(err)(
-                f"feature {j} ({dataset.names[j]}): {err}"
-            ) from err
-        pairs.append(_pair_from_result(dataset, j, zs[j], result))
+    for j, z in enumerate(zs):
+        xc = x_all[:, j] - x_all[:, j].mean()
+        zc = z - z.mean()
+        x2 = xc * xc
+        z2 = zc * zc
+        with _naming_feature(dataset, j):
+            result = _linear_result(
+                np.delete(x_all.T @ x2, j),
+                np.delete(x_all.T @ z2, j),
+                np.delete(x_abs.T @ z2, j),
+                dataset.n,
+            )
+        pairs.append(_pair_from_result(dataset, j, z, result))
     return pairs

@@ -13,7 +13,6 @@ the fitted function at a point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -459,52 +458,3 @@ def gradient_importance(net: TrainedNet, at_point) -> ImportanceVector:
     if net.input_scale is not None:
         values = values / net.input_scale
     return ImportanceVector(values, "gradient")
-
-
-def save_net(net: TrainedNet, path) -> None:
-    """Persist a net as JSON (shapes plus row-major values)."""
-    doc = {
-        "activation": net.activation,
-        "layers": [
-            {
-                "shape": list(w.shape),
-                "weights": [float(v) for v in w.ravel()],
-                "biases": [float(v) for v in b],
-            }
-            for w, b in zip(net.weights, net.biases)
-        ],
-        "loss_trace": [float(v) for v in net.loss_trace],
-        "input_mean": None if net.input_mean is None else [float(v) for v in net.input_mean],
-        "input_scale": None if net.input_scale is None else [float(v) for v in net.input_scale],
-        "target_mean": float(net.target_mean),
-        "target_scale": float(net.target_scale),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_net(path) -> TrainedNet:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InvalidDataError(f"cannot parse net snapshot {path}: {err}") from err
-    try:
-        weights = [
-            np.array(layer["weights"], dtype=float).reshape(layer["shape"])
-            for layer in doc["layers"]
-        ]
-        biases = [np.array(layer["biases"], dtype=float) for layer in doc["layers"]]
-        return TrainedNet(
-            weights,
-            biases,
-            doc["activation"],
-            [float(v) for v in doc.get("loss_trace", [])],
-            None if doc.get("input_mean") is None else np.array(doc["input_mean"]),
-            None if doc.get("input_scale") is None else np.array(doc["input_scale"]),
-            float(doc.get("target_mean", 0.0)),
-            float(doc.get("target_scale", 1.0)),
-        )
-    except (KeyError, ValueError) as err:
-        raise InvalidDataError(f"malformed net snapshot {path}: {err}") from err

@@ -134,12 +134,15 @@ class SelectionResult:
     constant: np.ndarray
     screened_out: np.ndarray
     failed: tuple[int, ...]
+    failure_reasons: dict[int, str]
     curve: tuple[tuple[float, float], ...]
     seed: RngSeed
     screen: ScreenResult | None
     elapsed_s: float
 
     def to_json_dict(self) -> dict:
+        """JSON-ready record; each feature's ``failure_reason`` is the
+        message of its training error, or None when it trained."""
         features = []
         for j, name in enumerate(self.names):
             features.append(
@@ -153,7 +156,8 @@ class SelectionResult:
                     "selected": j in self.selected,
                     "constant": bool(self.constant[j]),
                     "screened_out": bool(self.screened_out[j]),
-                    "failed": j in set(self.failed),
+                    "failed": j in self.failure_reasons,
+                    "failure_reason": self.failure_reasons.get(j),
                 }
             )
         return {
@@ -263,7 +267,7 @@ def _assemble(
     mirrors,
     l_plus_active,
     l_minus_active,
-    failed,
+    failure_reasons,
     rng,
     t0,
 ) -> SelectionResult:
@@ -272,10 +276,9 @@ def _assemble(
     l_minus = np.zeros(p)
     m = np.zeros(p)
     c_values = np.zeros(p)
-    failed_set = set(failed)
     for i, j in enumerate(active):
         c_values[j] = mirrors[i].c
-        if j in failed_set:
+        if j in failure_reasons:
             continue
         l_plus[j] = l_plus_active[i]
         l_minus[j] = l_minus_active[i]
@@ -295,7 +298,8 @@ def _assemble(
         names=dataset.names,
         constant=constant,
         screened_out=screened_out,
-        failed=tuple(sorted(failed_set)),
+        failed=tuple(sorted(failure_reasons)),
+        failure_reasons=failure_reasons,
         curve=fdp_curve(m),
         seed=rng,
         screen=screen_result,
@@ -342,7 +346,7 @@ def run_sngm(
         mirrors,
         l_plus_active,
         l_minus_active,
-        [],
+        {},
         rng,
         t0,
     )
@@ -383,24 +387,23 @@ def run_ingm(
     )
     l_plus_active = []
     l_minus_active = []
-    failed = []
-    failures = []
-    for i, (pair, trained) in enumerate(zip(mirrors, nets)):
+    failure_reasons = {}
+    for i, trained in enumerate(nets):
         if isinstance(trained, TrainingError):
             trained.feature_index = active[i]
-            failed.append(active[i])
-            failures.append(f"{pair.name}: {trained}")
+            failure_reasons[active[i]] = str(trained)
             l_plus_active.append(0.0)
             l_minus_active.append(0.0)
             continue
         importances = path_importance(trained).values
         l_plus_active.append(importances[i])
         l_minus_active.append(importances[i + 1])
-    if len(failed) > _MAX_FAILURE_FRACTION * len(mirrors):
+    if len(failure_reasons) > _MAX_FAILURE_FRACTION * len(mirrors):
+        failures = [f"{dataset.names[j]}: {why}" for j, why in failure_reasons.items()]
         raise TrainingError(
-            f"{len(failed)} of {len(mirrors)} per-feature networks failed "
+            f"{len(failures)} of {len(mirrors)} per-feature networks failed "
             f"to train: " + "; ".join(failures[:5]),
-            feature_index=failed[0],
+            feature_index=next(iter(failure_reasons)),
         )
     method = "s_ingm" if screen_opts is not None else "ingm"
     return _assemble(
@@ -414,7 +417,7 @@ def run_ingm(
         mirrors,
         l_plus_active,
         l_minus_active,
-        failed,
+        failure_reasons,
         rng,
         t0,
     )

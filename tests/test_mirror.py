@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,8 +138,22 @@ def test_make_all_matches_per_feature_calls(gen):
     for j, pair in enumerate(pairs):
         direct = make_mirror(ds, j, LINEAR, rng)
         np.testing.assert_array_equal(pair.z, direct.z)
-        # the shared-Gram path reorders sums; values agree to rounding
+        # products with the full X reorder sums; values agree to rounding
         np.testing.assert_allclose(pair.c, direct.c, rtol=1e-10, atol=1e-12)
+
+
+def test_make_all_linear_memory_stays_below_one_gram(gen):
+    # a tall design: one n x n float64 matrix would be 72 MB
+    n = 3000
+    ds = _dataset(gen, n=n, p=5)
+    tracemalloc.start()
+    try:
+        pairs = make_all_mirrors(ds, LINEAR, RngSeed(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 5
+    assert peak < n * n * 8 / 10
 
 
 def test_column_permutation_permutes_mirrors(gen):

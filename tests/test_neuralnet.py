@@ -13,9 +13,7 @@ from mirrorselect import (
     TrainingError,
     default_hidden_sizes,
     gradient_importance,
-    load_net,
     path_importance,
-    save_net,
     train,
     train_many,
 )
@@ -401,36 +399,6 @@ def test_gradient_point_validation(gen):
         gradient_importance(net, np.zeros(4))
     with pytest.raises(InvalidDataError):
         gradient_importance(net, np.array([0.0, np.inf, 0.0]))
-
-
-# ------------------------------------------------------------- persistence
-
-
-def test_save_load_round_trip(tmp_path, gen):
-    x = gen.standard_normal((70, 3))
-    y = x[:, 1] + 0.1 * gen.standard_normal(70)
-    cfg = NetConfig(hidden_sizes=(5, 3), epochs=15, batch_size=35,
-                    learning_rate=5e-3, seed=RngSeed(9))
-    net = train(x, y, cfg)
-    path = tmp_path / "net.json"
-    save_net(net, path)
-    back = load_net(path)
-    assert back.activation == net.activation
-    assert back.loss_trace == net.loss_trace
-    for wa, wb in zip(net.weights, back.weights):
-        np.testing.assert_array_equal(wa, wb)
-    np.testing.assert_array_equal(back.input_mean, net.input_mean)
-    np.testing.assert_array_equal(net.predict(x), back.predict(x))
-
-
-def test_load_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(InvalidDataError):
-        load_net(path)
-    path.write_text('{"layers": [{"shape": [2, 1]}]}', encoding="utf-8")
-    with pytest.raises(InvalidDataError):
-        load_net(path)
 
 
 def test_trained_net_shape_validation():

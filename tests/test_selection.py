@@ -357,6 +357,13 @@ class TestRunIngm:
         assert np.count_nonzero(res.stats.m) == 9
         errors = [fit for fit in fits if isinstance(fit, TrainingError)]
         assert [err.feature_index for err in errors] == [8]
+        # the reason travels with the result, down to result.json
+        assert res.failure_reasons == {8: str(errors[0])}
+        assert res.failure_reasons[8].startswith("loss became non-finite at epoch ")
+        records = res.to_json_dict()["features"]
+        assert records[8]["failed"] is True
+        assert records[8]["failure_reason"] == res.failure_reasons[8]
+        assert all(rec["failure_reason"] is None for rec in records if rec["index"] != 8)
 
         with pytest.raises(TrainingError) as info, np.errstate(all="ignore"):
             run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.6), rng=RngSeed(2))
