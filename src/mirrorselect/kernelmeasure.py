@@ -11,6 +11,11 @@ feature x with perturbation z and remaining columns W, the scale c that
 minimizes the squared measure between u = x + c z and v = x - c z given
 W.  For linear kernels that minimizer has a closed form; for other
 kernels a bracketed golden-section search is used.
+
+Inputs are validated once, at the public entry points; the private
+``_center`` and ``_dependence`` behind them trust their arguments.  The
+c-search evaluates ``_dependence`` on Gram matrices it has just built,
+so no n x n matrix is re-checked per evaluation.
 """
 
 from __future__ import annotations
@@ -74,16 +79,16 @@ class KernelSpec:
         return KernelSpec(self.family, bandwidth, self.degree, self.offset)
 
 
-def _as_block(data) -> np.ndarray:
+def _as_block(data, label: str = "kernel input") -> np.ndarray:
     block = np.asarray(data, dtype=float)
     if block.ndim == 1:
         block = block[:, None]
     if block.ndim != 2:
-        raise InvalidDataError(f"kernel input must be 1-d or 2-d, got {block.ndim}-d")
+        raise InvalidDataError(f"{label} must be 1-d or 2-d, got {block.ndim}-d")
     if block.shape[0] < 1:
-        raise InvalidDataError("kernel input must have at least one row")
+        raise InvalidDataError(f"{label} must have at least one row")
     if not np.all(np.isfinite(block)):
-        raise InvalidDataError("kernel input contains non-finite values")
+        raise InvalidDataError(f"{label} contains non-finite values")
     return block
 
 
@@ -139,9 +144,7 @@ def _check_square_symmetric(k: np.ndarray, label: str) -> np.ndarray:
     return k
 
 
-def center_gram(k) -> np.ndarray:
-    """Double centering H K H without forming H explicitly."""
-    k = _check_square_symmetric(k, "gram matrix")
+def _center(k: np.ndarray) -> np.ndarray:
     row = k.mean(axis=0, keepdims=True)
     col = k.mean(axis=1, keepdims=True)
     grand = k.mean()
@@ -149,11 +152,18 @@ def center_gram(k) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+def center_gram(k) -> np.ndarray:
+    """Double centering H K H without forming H explicitly."""
+    return _center(_check_square_symmetric(k, "gram matrix"))
+
+
 @dataclass(frozen=True)
 class GramTriple:
     """The three Gram matrices entering the dependence measure.
 
-    Symmetry and shape agreement are validated here.  Positive
+    This is the one place a triple is validated: each matrix must be
+    square, finite and symmetric, and the three must agree in shape.
+    ``conditional_dependence`` trusts a constructed triple.  Positive
     semidefiniteness (up to roundoff) is the producer's contract: any
     valid kernel yields it, and checking eigenvalues on every
     construction would dominate the cost of the measure itself.
@@ -181,18 +191,32 @@ class GramTriple:
         in which case K_W is the all-ones matrix (conditioning on nothing)."""
         k_u = gram_matrix(u, spec)
         k_v = gram_matrix(v, spec)
-        w_block = np.asarray(w, dtype=float)
-        if w_block.ndim == 1:
-            w_block = w_block[:, None]
+        w_block = _as_block(w)
         if w_block.shape[1] == 0:
             k_w = np.ones((k_u.shape[0], k_u.shape[0]))
         else:
             k_w = gram_matrix(w_block, w_spec if w_spec is not None else spec)
         return cls(k_u, k_v, k_w)
 
-    @property
-    def n(self) -> int:
-        return self.k_u.shape[0]
+
+def _dependence(k_u: np.ndarray, k_v: np.ndarray, k_w: np.ndarray) -> float:
+    """The measure on three same-shape symmetric Gram matrices; a
+    non-finite entry (an overflowing kernel) raises NumericalError."""
+    n = k_u.shape[0]
+    ku_c = _center(k_u)
+    kv_c = _center(k_v)
+    value = float(np.einsum("ij,ij,ij->", ku_c, kv_c, k_w)) / (n * n)
+    scale = max(
+        1.0,
+        float(np.abs(ku_c).max() * np.abs(kv_c).max() * np.abs(k_w).max()),
+    )
+    if not math.isfinite(value):
+        raise NumericalError("dependence measure is non-finite")
+    if value < -1e-9 * scale:
+        raise NumericalError(
+            f"dependence measure is negative beyond tolerance: {value}"
+        )
+    return max(value, 0.0)
 
 
 def conditional_dependence(grams: GramTriple) -> float:
@@ -202,21 +226,7 @@ def conditional_dependence(grams: GramTriple) -> float:
     invariant to any simultaneous permutation of the rows of all three
     blocks.
     """
-    n = grams.n
-    ku_c = center_gram(grams.k_u)
-    kv_c = center_gram(grams.k_v)
-    value = float(np.einsum("ij,ij,ij->", ku_c, kv_c, grams.k_w)) / (n * n)
-    scale = max(
-        1.0,
-        float(np.abs(ku_c).max() * np.abs(kv_c).max() * np.abs(grams.k_w).max()),
-    )
-    if not math.isfinite(value):
-        raise NumericalError("dependence measure is non-finite")
-    if value < -1e-9 * scale:
-        raise NumericalError(
-            f"dependence measure is negative beyond tolerance: {value}"
-        )
-    return max(value, 0.0)
+    return _dependence(grams.k_u, grams.k_v, grams.k_w)
 
 
 @dataclass(frozen=True)
@@ -262,19 +272,22 @@ def _column(data, label: str) -> np.ndarray:
     return v
 
 
-def _conditioning_block(w, n: int) -> np.ndarray:
+def _search_inputs(x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x and z as finite columns of equal length n, w as the n-row
+    conditioning block (zero columns when None)."""
+    x = _column(x, "x")
+    z = _column(z, "z")
+    n = x.shape[0]
+    if z.shape[0] != n:
+        raise InvalidDataError(f"x and z disagree in length: {n} vs {z.shape[0]}")
     if w is None:
-        return np.empty((n, 0))
-    block = np.asarray(w, dtype=float)
-    if block.ndim == 1:
-        block = block[:, None]
-    if block.shape[0] != n:
+        return x, z, np.empty((n, 0))
+    w_block = _as_block(w, "conditioning block")
+    if w_block.shape[0] != n:
         raise InvalidDataError(
-            f"conditioning block has {block.shape[0]} rows, expected {n}"
+            f"conditioning block has {w_block.shape[0]} rows, expected {n}"
         )
-    if not np.all(np.isfinite(block)):
-        raise InvalidDataError("conditioning block contains non-finite values")
-    return block
+    return x, z, w_block
 
 
 def _linear_result(wt_x2, wt_z2, abs_wt_z2, n: int) -> CMinimizationResult:
@@ -319,14 +332,8 @@ def closed_form_c_linear(x, z, w=None, center: bool = True) -> CMinimizationResu
     means z is perturbing in directions the conditioning block cannot
     see, and raises DegeneratePerturbationError.
     """
-    x = _column(x, "x")
-    z = _column(z, "z")
-    if x.shape != z.shape:
-        raise InvalidDataError(
-            f"x and z disagree in length: {x.shape[0]} vs {z.shape[0]}"
-        )
+    x, z, w_block = _search_inputs(x, z, w)
     n = x.shape[0]
-    w_block = _conditioning_block(w, n)
     if center:
         x = x - x.mean()
         z = z - z.mean()
@@ -384,14 +391,8 @@ def minimize_c(
     then held fixed across all evaluations so the objective is a fixed
     function of c.
     """
-    x = _column(x, "x")
-    z = _column(z, "z")
-    if x.shape != z.shape:
-        raise InvalidDataError(
-            f"x and z disagree in length: {x.shape[0]} vs {z.shape[0]}"
-        )
+    x, z, w_block = _search_inputs(x, z, w)
     n = x.shape[0]
-    w_block = _conditioning_block(w, n)
 
     z_norm = float(np.linalg.norm(z))
     if z_norm == 0.0:
@@ -418,7 +419,7 @@ def minimize_c(
         evals += 1
         k_u = gram_matrix(x + c * z, uv_spec)
         k_v = gram_matrix(x - c * z, uv_spec)
-        value = conditional_dependence(GramTriple(k_u, k_v, k_w))
+        value = _dependence(k_u, k_v, k_w)
         return value * value
 
     c_max = search.c_max_factor * float(np.linalg.norm(x)) / z_norm

@@ -133,7 +133,6 @@ class SelectionResult:
     names: tuple[str, ...]
     constant: np.ndarray
     screened_out: np.ndarray
-    failed: tuple[int, ...]
     failure_reasons: dict[int, str]
     curve: tuple[tuple[float, float], ...]
     seed: RngSeed
@@ -298,7 +297,6 @@ def _assemble(
         names=dataset.names,
         constant=constant,
         screened_out=screened_out,
-        failed=tuple(sorted(failure_reasons)),
         failure_reasons=failure_reasons,
         curve=fdp_curve(m),
         seed=rng,

@@ -329,6 +329,19 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigurationError"
 
+    def test_overflowing_kernel_exits_4(self, tmp_path, capsys):
+        sim = _simulate(tmp_path, "sim10")
+        out = tmp_path / "overflow"
+        with np.errstate(all="ignore"):
+            code = main(["select", "--data", str(sim / "dataset.csv"), *SELECT_FLAGS,
+                         "--kernel", "polynomial", "--degree", "400",
+                         "--out", str(out)])
+        capsys.readouterr()
+        assert code == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "NumericalError"
+        assert record["exit_code"] == 4
+
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(["select", "--data", str(tmp_path / "absent.csv"),

@@ -9,6 +9,7 @@ from mirrorselect import (
     GramTriple,
     InvalidDataError,
     KernelSpec,
+    NumericalError,
     SearchConfig,
     center_gram,
     closed_form_c_linear,
@@ -17,6 +18,7 @@ from mirrorselect import (
     median_heuristic_bandwidth,
     minimize_c,
 )
+from mirrorselect import kernelmeasure
 from conftest import naive_conditional_dependence
 
 LINEAR = KernelSpec("linear")
@@ -381,6 +383,83 @@ def test_even_objective_flat_gradient_at_minimizer(gen):
         h = 1e-4 * (res.c_star if res.c_star > 0 else 1.0)
         grad = (big_g(res.c_star + h) - big_g(res.c_star - h)) / (2 * h)
         assert abs(grad) <= 1e-6 * abs(big_g(res.c_star)) + 1e-9
+
+
+def _malformed_search_inputs():
+    x = np.linspace(-1.0, 1.0, 10)
+    z = np.cos(np.arange(10.0))
+    w = np.ones((10, 2))
+    nan_x = x.copy()
+    nan_x[3] = np.nan
+    inf_w = w.copy()
+    inf_w[0, 1] = np.inf
+    return {
+        "x and z lengths": (x, z[:9], w),
+        "non-finite x": (nan_x, z, w),
+        "non-finite z": (x, np.full(10, np.inf), w),
+        "w rows": (x, z, w[:9]),
+        "non-finite w": (x, z, inf_w),
+        "3-d w": (x, z, np.ones((10, 2, 2))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_search_inputs()))
+@pytest.mark.parametrize(
+    "search",
+    [
+        closed_form_c_linear,
+        lambda x, z, w: minimize_c(x, z, w, LINEAR),
+        lambda x, z, w: minimize_c(x, z, w, KernelSpec("gaussian")),
+    ],
+    ids=["closed_form", "minimize_c_linear", "minimize_c_gaussian"],
+)
+def test_c_search_rejects_malformed_inputs(case, search):
+    x, z, w = _malformed_search_inputs()[case]
+    with pytest.raises(InvalidDataError):
+        search(x, z, w)
+
+
+def test_minimize_c_overflow_is_numerical_error(gen):
+    # (x.y + 1)**400 overflows to inf: a computation failure (exit 4),
+    # not malformed input (exit 3)
+    x = gen.standard_normal(12)
+    z = gen.standard_normal(12)
+    w = gen.standard_normal((12, 3))
+    with pytest.raises(NumericalError, match="non-finite"), np.errstate(all="ignore"):
+        minimize_c(x, z, w, KernelSpec("polynomial", degree=400))
+
+
+def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
+    n = 20
+    x = gen.standard_normal(n)
+    z = gen.standard_normal(n)
+    w = gen.standard_normal((n, 2))
+    checks = []
+    check = kernelmeasure._check_square_symmetric
+
+    def counting_check(k, label):
+        checks.append(label)
+        return check(k, label)
+
+    monkeypatch.setattr(kernelmeasure, "_check_square_symmetric", counting_check)
+    res = minimize_c(x, z, w, KernelSpec("gaussian"))
+    assert res.evaluations > 10
+    assert checks == []
+
+    # the private objective is the public measure, bitwise, at the
+    # bandwidths minimize_c resolves from x and from w
+    uv_spec = KernelSpec("gaussian", bandwidth=median_heuristic_bandwidth(x))
+    w_spec = KernelSpec("gaussian", bandwidth=median_heuristic_bandwidth(w))
+    c = res.c_star
+    public = conditional_dependence(
+        GramTriple(
+            gram_matrix(x + c * z, uv_spec),
+            gram_matrix(x - c * z, uv_spec),
+            gram_matrix(w, w_spec),
+        )
+    )
+    assert res.objective_at_c_star == public**2
+    assert len(checks) == 3
 
 
 def test_search_config_validation():

@@ -225,7 +225,7 @@ class TestRunSngm:
         m = res.stats.m
         assert res.method == "sngm"
         assert res.stats.m.shape == (10,)
-        assert res.failed == ()
+        assert res.failure_reasons == {}
         assert np.all(res.c_values >= 0)
         if res.threshold is None:
             assert res.selected == frozenset()
@@ -350,7 +350,7 @@ class TestRunIngm:
         monkeypatch.setattr(selection, "train_many", recording_train_many)
         with np.errstate(all="ignore"):
             res = run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.5), rng=RngSeed(2))
-        assert res.failed == (8,)
+        assert sorted(res.failure_reasons) == [8]
         assert res.stats.m[8] == 0.0
         assert res.stats.importance_plus[8] == res.stats.importance_minus[8] == 0.0
         assert 8 not in res.selected
