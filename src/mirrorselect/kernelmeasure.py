@@ -21,7 +21,7 @@ so no n x n matrix is re-checked per evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -389,18 +389,28 @@ def minimize_c(
     golden-section refinement; gaussian bandwidths left unset in ``spec``
     are resolved once from x (for both mirrored blocks) and once from w,
     then held fixed across all evaluations so the objective is a fixed
-    function of c.
+    function of c.  A kernel that overflows (say a high polynomial
+    degree) raises NumericalError naming the kernel family.
     """
     x, z, w_block = _search_inputs(x, z, w)
-    n = x.shape[0]
-
-    z_norm = float(np.linalg.norm(z))
-    if z_norm == 0.0:
+    if float(np.linalg.norm(z)) == 0.0:
         raise DegeneratePerturbationError("perturbation z is identically zero")
 
     if spec.family == "linear":
         return closed_form_c_linear(x, z, w_block, center=True)
 
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _scalar_search(x, z, w_block, spec, search)
+    except FloatingPointError as err:
+        raise NumericalError(f"{spec.family} kernel overflowed: {err}") from err
+
+
+def _scalar_search(
+    x, z, w_block, spec: KernelSpec, search: SearchConfig
+) -> CMinimizationResult:
+    """The grid-bracketed golden-section search of ``minimize_c``."""
+    n = x.shape[0]
     uv_spec = spec
     if spec.family == "gaussian" and spec.bandwidth is None:
         uv_spec = spec.with_bandwidth(median_heuristic_bandwidth(x))
@@ -422,7 +432,7 @@ def minimize_c(
         value = _dependence(k_u, k_v, k_w)
         return value * value
 
-    c_max = search.c_max_factor * float(np.linalg.norm(x)) / z_norm
+    c_max = search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
     if c_max == 0.0:
         return CMinimizationResult(0.0, objective(0.0), "scalar_search", evals)
 

@@ -20,13 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigurationError, MirrorSelectError
-from .kernelmeasure import (
-    CMinimizationResult,
-    KernelSpec,
-    SearchConfig,
-    _linear_result,
-    minimize_c,
-)
+from .kernelmeasure import KernelSpec, _linear_result, minimize_c
 from .rng import RngSeed
 
 
@@ -40,14 +34,6 @@ class MirrorPair:
     c: float
     x_plus: np.ndarray
     x_minus: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-
-def _draw_z(rng: RngSeed, name: str, n: int) -> np.ndarray:
-    return rng.named_child(name).generator().standard_normal(n)
 
 
 def _exact_complement(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -82,29 +68,46 @@ def _naming_feature(dataset: Dataset, j: int):
         raise type(err)(f"feature {j} ({dataset.names[j]}): {err}") from err
 
 
-def _pair_from_result(
-    dataset: Dataset, j: int, z: np.ndarray, result: CMinimizationResult
+def _mirror_feature(
+    dataset: Dataset, j: int, spec: KernelSpec, rng: RngSeed, x_abs: np.ndarray | None
 ) -> MirrorPair:
-    x = dataset.x[:, j]
+    """Feature j's pair.  A linear kernel with p >= 2 takes the closed form
+    from products with the full X (``x_abs`` is |X|), whose entry j is
+    dropped, so no copy of the remaining columns is made and the cost is
+    O(n p); every other case runs ``minimize_c`` against those columns."""
+    x_all = dataset.x
+    x = x_all[:, j]
+    z = rng.named_child(dataset.names[j]).generator().standard_normal(dataset.n)
+    with _naming_feature(dataset, j):
+        if spec.family == "linear" and dataset.p > 1:
+            xc = x - x.mean()
+            zc = z - z.mean()
+            x2 = xc * xc
+            z2 = zc * zc
+            result = _linear_result(
+                np.delete(x_all.T @ x2, j),
+                np.delete(x_all.T @ z2, j),
+                np.delete(x_abs.T @ z2, j),
+                dataset.n,
+            )
+        else:
+            # With p = 1 there is nothing to condition on; minimize_c
+            # handles that.
+            result = minimize_c(x, z, np.delete(x_all, j, axis=1), spec)
     x_plus = x + result.c_star * z
-    x_minus = _exact_complement(2.0 * x, x_plus)
     return MirrorPair(
         feature_index=j,
         name=dataset.names[j],
         z=z,
         c=result.c_star,
         x_plus=x_plus,
-        x_minus=x_minus,
+        x_minus=_exact_complement(2.0 * x, x_plus),
     )
 
 
-def _searched_pair(
-    dataset: Dataset, j: int, z: np.ndarray, spec: KernelSpec, search: SearchConfig
-) -> MirrorPair:
-    with _naming_feature(dataset, j):
-        w = np.delete(dataset.x, j, axis=1)
-        result = minimize_c(dataset.x[:, j], z, w, spec, search)
-    return _pair_from_result(dataset, j, z, result)
+def _abs_design(dataset: Dataset, spec: KernelSpec) -> np.ndarray | None:
+    """|X|, which only the linear closed form reads."""
+    return np.abs(dataset.x) if spec.family == "linear" else None
 
 
 def make_mirror(
@@ -112,7 +115,6 @@ def make_mirror(
     feature_index: int,
     spec: KernelSpec = KernelSpec("linear"),
     rng: RngSeed = RngSeed(0),
-    search: SearchConfig = SearchConfig(),
 ) -> MirrorPair:
     """Mirror a single feature against the remaining columns."""
     if not 0 <= feature_index < dataset.p:
@@ -121,48 +123,22 @@ def make_mirror(
         )
     if dataset.n < 3:
         raise ConfigurationError(f"mirroring needs n >= 3 rows, got {dataset.n}")
-    j = int(feature_index)
-    z = _draw_z(rng, dataset.names[j], dataset.n)
-    return _searched_pair(dataset, j, z, spec, search)
+    x_abs = _abs_design(dataset, spec)
+    return _mirror_feature(dataset, int(feature_index), spec, rng, x_abs)
 
 
 def make_all_mirrors(
     dataset: Dataset,
     spec: KernelSpec = KernelSpec("linear"),
     rng: RngSeed = RngSeed(0),
-    search: SearchConfig = SearchConfig(),
 ) -> list[MirrorPair]:
     """Mirror every feature of the dataset.
 
     Output order follows column order, and entry j equals
-    ``make_mirror(dataset, j, ...)`` with the same arguments, up to
-    floating point summation order for linear kernels with p >= 2.
-    Those take the closed form from products with the full X, whose
-    entry j is dropped, so no copy of the remaining columns is made and
-    the cost is O(n p) per feature.
+    ``make_mirror(dataset, j, ...)`` with the same arguments exactly:
+    both take the same per-feature route.
     """
     if dataset.n < 3:
         raise ConfigurationError(f"mirroring needs n >= 3 rows, got {dataset.n}")
-    zs = [_draw_z(rng, name, dataset.n) for name in dataset.names]
-    # With p = 1 there is nothing to condition on; minimize_c handles that.
-    if spec.family != "linear" or dataset.p == 1:
-        return [
-            _searched_pair(dataset, j, z, spec, search) for j, z in enumerate(zs)
-        ]
-    x_all = dataset.x
-    x_abs = np.abs(x_all)
-    pairs = []
-    for j, z in enumerate(zs):
-        xc = x_all[:, j] - x_all[:, j].mean()
-        zc = z - z.mean()
-        x2 = xc * xc
-        z2 = zc * zc
-        with _naming_feature(dataset, j):
-            result = _linear_result(
-                np.delete(x_all.T @ x2, j),
-                np.delete(x_all.T @ z2, j),
-                np.delete(x_abs.T @ z2, j),
-                dataset.n,
-            )
-        pairs.append(_pair_from_result(dataset, j, z, result))
-    return pairs
+    x_abs = _abs_design(dataset, spec)
+    return [_mirror_feature(dataset, j, spec, rng, x_abs) for j in range(dataset.p)]

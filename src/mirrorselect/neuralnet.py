@@ -150,11 +150,6 @@ class TrainedNet:
     def input_width(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def depth(self) -> int:
-        """Number of hidden layers."""
-        return len(self.weights) - 1
-
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:

@@ -1,5 +1,5 @@
 """Mirror statistics, the data-adaptive threshold, feature screening and
-the two end-to-end selection pipelines.
+the end-to-end selection pipeline.
 
 The per-feature statistic is
 
@@ -15,10 +15,12 @@ into a conservative estimate of the false discovery proportion among
 {M_j >= t}, and the selection threshold is the smallest candidate t with
 FDP(t) <= q.
 
-Two pipelines are provided: one network over all mirrored pairs at once
+Two methods are provided: one network over all mirrored pairs at once
 (joint), and one small network per feature with only that feature
-mirrored (individual).  Optional screening first drops weak features
-using a network trained on a held-out third of the rows.
+mirrored (individual).  Both run through one pipeline and differ only in
+how the mirrored pairs are scored.  Optional screening first drops weak
+features using a network, configured like the selection net, trained on
+a held-out third of the rows.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigurationError, InvalidDataError, TrainingError
-from .kernelmeasure import KernelSpec, SearchConfig
-from .mirror import MirrorPair, make_all_mirrors
+from .kernelmeasure import KernelSpec
+from .mirror import make_all_mirrors
 from .neuralnet import NetConfig, path_importance, train, train_many
 from .rng import RngSeed
 
@@ -109,11 +111,10 @@ class ScreenResult:
 
 @dataclass(frozen=True)
 class ScreenOptions:
-    """How to screen: how many features survive and, optionally, a
-    different network configuration for the screening net."""
+    """How many features screening keeps (None: ``default_m_keep``).
+    The screening net uses the selection net's configuration."""
 
     m_keep: int | None = None
-    net: NetConfig | None = None
 
     def __post_init__(self):
         if self.m_keep is not None and self.m_keep < 1:
@@ -217,34 +218,69 @@ def screen(
     return ScreenResult(kept, importances, split_rows)
 
 
-def _interleave_pairs(mirrors: list[MirrorPair]) -> tuple[np.ndarray, list]:
-    cols = []
-    paired = []
-    for i, pair in enumerate(mirrors):
-        cols.append(pair.x_plus)
-        cols.append(pair.x_minus)
-        paired.append((2 * i, 2 * i + 1))
-    return np.column_stack(cols), paired
+def _score_joint(mirrors, working, net, rng):
+    """One network on all 2m interleaved half-columns; a training failure
+    aborts the run."""
+    inputs = np.column_stack(
+        [half for pair in mirrors for half in (pair.x_plus, pair.x_minus)]
+    )
+    paired = [(2 * i, 2 * i + 1) for i in range(len(mirrors))]
+    trained = train(inputs, working.y, replace(net, seed=rng), paired_columns=paired)
+    importances = path_importance(trained).values
+    return importances[0::2], importances[1::2], {}
 
 
-def _prepare(dataset, q, screen_opts, net, rng):
+def _score_individual(mirrors, working, net, rng):
+    """One network per feature, with only that feature's pair in place of
+    its column.  Failed nets are returned by position, with importances 0
+    (so their statistic is 0)."""
+    designs = (
+        np.column_stack(
+            [working.x[:, :i], pair.x_plus, pair.x_minus, working.x[:, i + 1 :]]
+        )
+        for i, pair in enumerate(mirrors)
+    )
+    nets = train_many(
+        designs,
+        working.y,
+        net,
+        [rng.named_child(pair.name) for pair in mirrors],
+        [[(i, i + 1)] for i in range(len(mirrors))],
+    )
+    l_plus = np.zeros(len(mirrors))
+    l_minus = np.zeros(len(mirrors))
+    failures = {}
+    for i, trained in enumerate(nets):
+        if isinstance(trained, TrainingError):
+            failures[i] = trained
+            continue
+        importances = path_importance(trained).values
+        l_plus[i] = importances[i]
+        l_minus[i] = importances[i + 1]
+    return l_plus, l_minus, failures
+
+
+def _run(method, score, dataset, q, spec, net, rng, screen_opts) -> SelectionResult:
+    """The one selection pipeline: drop constant columns, optionally
+    screen, mirror, score the pairs with ``score``, threshold."""
+    t0 = time.perf_counter()
     if not isinstance(dataset, Dataset):
         raise InvalidDataError("expected a Dataset")
     if not 0.0 < float(q) < 1.0:
         raise ConfigurationError(f"q must lie in (0, 1), got {q}")
-    ds = dataset.standardized()
+    p = dataset.p
     constant = dataset.constant_columns()
-    active = [j for j in range(ds.p) if not constant[j]]
+    active = [j for j in range(p) if not constant[j]]
     if not active:
         raise InvalidDataError("every column is constant; nothing to select from")
-    working = ds.select_columns(active)
+    working = dataset.standardized().select_columns(active)
 
     screen_result = None
-    screened_out = np.zeros(ds.p, dtype=bool)
+    screened_out = np.zeros(p, dtype=bool)
     if screen_opts is not None:
-        screen_net = screen_opts.net if screen_opts.net is not None else net
+        method = "s_" + method
         screen_result = screen(
-            working, screen_net, screen_opts.m_keep, rng.child(_STREAM_SCREEN)
+            working, net, screen_opts.m_keep, rng.child(_STREAM_SCREEN)
         )
         kept_local = set(screen_result.kept)
         dropped = [active[i] for i in range(len(active)) if i not in kept_local]
@@ -252,33 +288,30 @@ def _prepare(dataset, q, screen_opts, net, rng):
         rows = np.setdiff1d(np.arange(working.n), screen_result.split_rows)
         working = working.take_rows(rows).select_columns(sorted(kept_local))
         active = [j for j in active if not screened_out[j]]
-    return ds, working, active, constant, screened_out, screen_result
 
+    mirrors = make_all_mirrors(working, spec, rng.child(_STREAM_MIRROR))
+    net = replace(net, batch_size=min(net.batch_size, working.n))
+    l_plus_active, l_minus_active, failures = score(
+        mirrors, working, net, rng.child(_STREAM_TRAIN)
+    )
+    failure_reasons = {}
+    for i, err in failures.items():
+        err.feature_index = active[i]
+        failure_reasons[active[i]] = str(err)
+    if len(failure_reasons) > _MAX_FAILURE_FRACTION * len(mirrors):
+        lines = [f"{dataset.names[j]}: {why}" for j, why in failure_reasons.items()]
+        raise TrainingError(
+            f"{len(lines)} of {len(mirrors)} per-feature networks failed "
+            f"to train: " + "; ".join(lines[:5]),
+            feature_index=next(iter(failure_reasons)),
+        )
 
-def _assemble(
-    method,
-    dataset,
-    q,
-    active,
-    constant,
-    screened_out,
-    screen_result,
-    mirrors,
-    l_plus_active,
-    l_minus_active,
-    failure_reasons,
-    rng,
-    t0,
-) -> SelectionResult:
-    p = dataset.p
     l_plus = np.zeros(p)
     l_minus = np.zeros(p)
     m = np.zeros(p)
     c_values = np.zeros(p)
     for i, j in enumerate(active):
         c_values[j] = mirrors[i].c
-        if j in failure_reasons:
-            continue
         l_plus[j] = l_plus_active[i]
         l_minus[j] = l_minus_active[i]
         m[j] = mirror_statistic(l_plus[j], l_minus[j])
@@ -312,42 +345,11 @@ def run_sngm(
     net: NetConfig = NetConfig(),
     rng: RngSeed = RngSeed(0),
     screen_opts: ScreenOptions | None = None,
-    search: SearchConfig = SearchConfig(),
 ) -> SelectionResult:
     """Joint pipeline: mirror every feature, then fit one network on all
     2m interleaved half-columns and read both importances per feature
     from its input layer.  A training failure aborts the run."""
-    t0 = time.perf_counter()
-    ds, working, active, constant, screened_out, screen_result = _prepare(
-        dataset, q, screen_opts, net, rng
-    )
-    mirrors = make_all_mirrors(working, spec, rng.child(_STREAM_MIRROR), search)
-    inputs, paired = _interleave_pairs(mirrors)
-    net_config = replace(
-        net,
-        seed=rng.child(_STREAM_TRAIN),
-        batch_size=min(net.batch_size, working.n),
-    )
-    trained = train(inputs, working.y, net_config, paired_columns=paired)
-    importances = path_importance(trained).values
-    l_plus_active = [importances[2 * i] for i in range(len(mirrors))]
-    l_minus_active = [importances[2 * i + 1] for i in range(len(mirrors))]
-    method = "s_sngm" if screen_opts is not None else "sngm"
-    return _assemble(
-        method,
-        dataset,
-        q,
-        active,
-        constant,
-        screened_out,
-        screen_result,
-        mirrors,
-        l_plus_active,
-        l_minus_active,
-        {},
-        rng,
-        t0,
-    )
+    return _run("sngm", _score_joint, dataset, q, spec, net, rng, screen_opts)
 
 
 def run_ingm(
@@ -357,65 +359,10 @@ def run_ingm(
     net: NetConfig = NetConfig(),
     rng: RngSeed = RngSeed(0),
     screen_opts: ScreenOptions | None = None,
-    search: SearchConfig = SearchConfig(),
 ) -> SelectionResult:
     """Individual pipeline: one network per feature, with only that
     feature's pair inserted in place of its column.
 
     A feature whose network fails to train is recorded and scored zero;
     the whole run aborts if more than a tenth of the features fail."""
-    t0 = time.perf_counter()
-    ds, working, active, constant, screened_out, screen_result = _prepare(
-        dataset, q, screen_opts, net, rng
-    )
-    mirrors = make_all_mirrors(working, spec, rng.child(_STREAM_MIRROR), search)
-    train_rng = rng.child(_STREAM_TRAIN)
-    designs = (
-        np.column_stack(
-            [working.x[:, :i], pair.x_plus, pair.x_minus, working.x[:, i + 1 :]]
-        )
-        for i, pair in enumerate(mirrors)
-    )
-    nets = train_many(
-        designs,
-        working.y,
-        replace(net, batch_size=min(net.batch_size, working.n)),
-        [train_rng.named_child(pair.name) for pair in mirrors],
-        [[(i, i + 1)] for i in range(len(mirrors))],
-    )
-    l_plus_active = []
-    l_minus_active = []
-    failure_reasons = {}
-    for i, trained in enumerate(nets):
-        if isinstance(trained, TrainingError):
-            trained.feature_index = active[i]
-            failure_reasons[active[i]] = str(trained)
-            l_plus_active.append(0.0)
-            l_minus_active.append(0.0)
-            continue
-        importances = path_importance(trained).values
-        l_plus_active.append(importances[i])
-        l_minus_active.append(importances[i + 1])
-    if len(failure_reasons) > _MAX_FAILURE_FRACTION * len(mirrors):
-        failures = [f"{dataset.names[j]}: {why}" for j, why in failure_reasons.items()]
-        raise TrainingError(
-            f"{len(failures)} of {len(mirrors)} per-feature networks failed "
-            f"to train: " + "; ".join(failures[:5]),
-            feature_index=next(iter(failure_reasons)),
-        )
-    method = "s_ingm" if screen_opts is not None else "ingm"
-    return _assemble(
-        method,
-        dataset,
-        q,
-        active,
-        constant,
-        screened_out,
-        screen_result,
-        mirrors,
-        l_plus_active,
-        l_minus_active,
-        failure_reasons,
-        rng,
-        t0,
-    )
+    return _run("ingm", _score_individual, dataset, q, spec, net, rng, screen_opts)

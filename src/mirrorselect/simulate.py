@@ -21,7 +21,7 @@ from scipy.linalg import solve_triangular
 from ._parallel import parallel_map
 from .dataset import Dataset
 from .errors import ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError
-from .kernelmeasure import KernelSpec, SearchConfig
+from .kernelmeasure import KernelSpec
 from .neuralnet import NetConfig
 from .rng import RngSeed
 from .selection import ScreenOptions, run_ingm, run_sngm
@@ -310,7 +310,6 @@ def _run_one_rep(
     spec: KernelSpec,
     net: NetConfig,
     screen_opts: ScreenOptions | None,
-    search: SearchConfig,
 ):
     rep_rng = rng.child(rep)
     start = time.perf_counter()
@@ -321,9 +320,7 @@ def _run_one_rep(
         sel_rng = rep_rng.child(2)
         runner = run_sngm if method in ("sngm", "s_sngm") else run_ingm
         opts = screen_opts if method.startswith("s_") else None
-        result = runner(
-            dataset, q, spec=spec, net=net, rng=sel_rng, screen_opts=opts, search=search
-        )
+        result = runner(dataset, q, spec=spec, net=net, rng=sel_rng, screen_opts=opts)
         metrics = evaluate(result.selected, sample.truth, design.p)
     except MirrorSelectError as err:
         return rep, None, f"{type(err).__name__}: {err}"
@@ -352,7 +349,6 @@ def run_benchmark(
     spec: KernelSpec = KernelSpec("linear"),
     net: NetConfig = NetConfig(),
     screen_opts: ScreenOptions | None = None,
-    search: SearchConfig = SearchConfig(),
     threads: int = 1,
 ) -> BenchmarkResult:
     """Repeat draw-fit-select-score ``reps`` times and aggregate.
@@ -380,7 +376,6 @@ def run_benchmark(
         spec=spec,
         net=net,
         screen_opts=screen_opts,
-        search=search,
     )
     outcomes = parallel_map(worker, range(reps), threads)
     rows = []

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -332,15 +333,22 @@ class TestCli:
     def test_overflowing_kernel_exits_4(self, tmp_path, capsys):
         sim = _simulate(tmp_path, "sim10")
         out = tmp_path / "overflow"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["select", "--data", str(sim / "dataset.csv"), *SELECT_FLAGS,
                          "--kernel", "polynomial", "--degree", "400",
                          "--out", str(out)])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 4
+        assert [str(w.message) for w in caught] == []
+        # stderr holds only the JSON error line
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NumericalError"
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "NumericalError"
         assert record["exit_code"] == 4
+        assert "polynomial kernel overflowed" in record["message"]
 
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -138,8 +138,10 @@ def test_make_all_matches_per_feature_calls(gen):
     for j, pair in enumerate(pairs):
         direct = make_mirror(ds, j, LINEAR, rng)
         np.testing.assert_array_equal(pair.z, direct.z)
-        # products with the full X reorder sums; values agree to rounding
-        np.testing.assert_allclose(pair.c, direct.c, rtol=1e-10, atol=1e-12)
+        # both take the same per-feature route, so they agree bitwise
+        assert pair.c == direct.c
+        np.testing.assert_array_equal(pair.x_plus, direct.x_plus)
+        np.testing.assert_array_equal(pair.x_minus, direct.x_minus)
 
 
 def test_make_all_linear_memory_stays_below_one_gram(gen):
