@@ -11,6 +11,8 @@ estimated false discovery proportion.
 
 __version__ = "0.1.0"
 
+import logging
+
 from .dataset import Dataset
 from .errors import (
     ConfigurationError,
@@ -81,6 +83,8 @@ from .simulate import (
     sample_design,
     sample_response,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())  # silent by default
 
 __all__ = [
     "__version__",

@@ -255,7 +255,6 @@ def _cmd_select(args, out_dir: Path) -> None:
             {
                 "fdp": metrics.fdp,
                 "power": metrics.power,
-                "tpr": metrics.tpr,
                 "fpr": metrics.fpr,
                 "selected_count": metrics.selected_count,
             },

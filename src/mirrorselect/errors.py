@@ -40,9 +40,10 @@ class DegeneratePerturbationError(NumericalError):
 
 
 class TrainingError(MirrorSelectError):
-    """Network training failed.  Carries the loss trace collected up to
-    the failure and, when the failure happened inside a per-feature
-    loop, the index of the offending feature."""
+    """Network training failed.  Carries the loss trace up to its first
+    non-finite entry (per-epoch mean minibatch losses, then the full-data
+    loss after the last epoch) and, for a per-feature net, the feature's
+    index."""
 
     exit_code = 5
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,8 @@ def load_csv(path, response="y") -> Dataset:
     first, and an integer (or all-digit string) falls back to a 0-based
     column position.  Every other column is a feature.  Parse failures
     name the offending cell by data row (1-based) and column name.
-    Constant feature columns raise a warning; they stay in the dataset
-    but downstream selection never scores them.
+    Constant feature columns are logged at WARNING; they stay in the
+    dataset but downstream selection never scores them.
     """
     path = Path(path)
     try:
@@ -111,11 +111,10 @@ def load_csv(path, response="y") -> Dataset:
     const = dataset.constant_columns()
     if const.any():
         const_names = [names[j] for j in np.flatnonzero(const)]
-        warnings.warn(
-            f"{path}: constant feature columns will never be selected: "
-            + ", ".join(const_names),
-            UserWarning,
-            stacklevel=2,
+        logging.getLogger(__name__).warning(
+            "%s: constant feature columns will never be selected: %s",
+            path,
+            ", ".join(const_names),
         )
     return dataset
 
@@ -159,16 +158,13 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 def write_benchmark_csv(result: BenchmarkResult, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["seed", "fdp", "power", "tpr", "fpr", "threshold", "runtime_ms"]
-        )
+        writer.writerow(["seed", "fdp", "power", "fpr", "threshold", "runtime_ms"])
         for row in result.rows:
             writer.writerow(
                 [
                     row.seed_label,
                     _fmt(row.fdp),
                     _fmt(row.power),
-                    _fmt(row.tpr),
                     _fmt(row.fpr),
                     "" if row.threshold is None else _fmt(row.threshold),
                     format(row.runtime_ms, ".3f"),

@@ -216,8 +216,10 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
     Parameters are stacked along a leading axis: weights (g, d_in, d_out),
     biases (g, 1, d_out).  Each slice goes through the same arithmetic in
     the same order whatever is stacked beside it, so a net's result does
-    not depend on its group.  A net whose full-data loss turns non-finite
-    is dropped from the stack at the end of that epoch.
+    not depend on its group.  Trace entry e <= E is epoch e's mean squared
+    residual over its minibatches, each taken before its step; entry E + 1
+    is the loss over all rows after the last epoch (standardized target
+    scale).  A net leaves the stack at its first non-finite entry.
 
     Returns, per net, (weights, biases, loss trace) or a TrainingError.
     """
@@ -232,36 +234,37 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
             w[i] = gen.uniform(-limit, limit, size=w.shape[1:])
     biases = [np.zeros((g, 1, b)) for b in sizes[1:]]
 
-    def full_losses() -> np.ndarray:
-        err = _forward(xs, weights, biases, act)[-1][:, :, 0]
-        err -= ys
-        np.square(err, out=err)
-        return err.mean(axis=1)
-
     nets = list(range(g))  # the net held in each stack slot
-    traces = [[float(v)] for v in full_losses()]
+    traces = [[] for _ in range(g)]
     outcomes = [None] * g
-    for epoch in range(1, config.epochs + 1):
-        perm = np.stack([gen.permutation(n) for gen in gens])
-        rows = np.arange(len(nets))[:, None]
-        for start in range(0, n, config.batch_size):
-            idx = perm[:, start : start + config.batch_size]
-            acts = _forward(xs[rows, idx], weights, biases, act)
-            # d_s: loss gradient at the pre-activations of layer t + 1
-            d_s = acts.pop()
-            d_s[:, :, 0] -= ys[idx]
-            d_s *= 2.0 / idx.shape[1]
-            for t in range(len(weights) - 1, -1, -1):
-                grad_w = np.matmul(acts[t].transpose(0, 2, 1), d_s)
-                grad_b = d_s.sum(axis=1, keepdims=True)
-                if t > 0:
-                    d_s = np.matmul(d_s, weights[t].transpose(0, 2, 1))
-                    d_s *= dact(acts[t])
-                grad_w *= lr
-                grad_b *= lr
-                weights[t] -= grad_w
-                biases[t] -= grad_b
-        losses = full_losses()
+    for epoch in range(1, config.epochs + 2):
+        if epoch > config.epochs:
+            # One pass over all rows, so every returned net has a finite loss.
+            err = _forward(xs, weights, biases, act)[-1][:, :, 0] - ys
+            losses = np.einsum("gi,gi->g", err, err)
+        else:
+            losses = np.zeros(len(nets))
+            perm = np.stack([gen.permutation(n) for gen in gens])
+            rows = np.arange(len(nets))[:, None]
+            for start in range(0, n, config.batch_size):
+                idx = perm[:, start : start + config.batch_size]
+                acts = _forward(xs[rows, idx], weights, biases, act)
+                # d_s: loss gradient at the pre-activations of layer t + 1
+                d_s = acts.pop()
+                d_s[:, :, 0] -= ys[idx]
+                losses += np.einsum("gbo,gbo->g", d_s, d_s)
+                d_s *= 2.0 / idx.shape[1]
+                for t in range(len(weights) - 1, -1, -1):
+                    grad_w = np.matmul(acts[t].transpose(0, 2, 1), d_s)
+                    grad_b = d_s.sum(axis=1, keepdims=True)
+                    if t > 0:
+                        d_s = np.matmul(d_s, weights[t].transpose(0, 2, 1))
+                        d_s *= dact(acts[t])
+                    grad_w *= lr
+                    grad_b *= lr
+                    weights[t] -= grad_w
+                    biases[t] -= grad_b
+        losses /= n
         for net, loss in zip(nets, losses):
             traces[net].append(float(loss))
         finite = np.isfinite(losses)
@@ -270,7 +273,7 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
         for slot in np.flatnonzero(~finite):
             net = nets[slot]
             outcomes[net] = TrainingError(
-                f"loss became non-finite at epoch {epoch} "
+                f"loss became non-finite at epoch {min(epoch, config.epochs)} "
                 f"(learning rate {lr} may be too large)",
                 trace=traces[net],
             )
@@ -383,9 +386,9 @@ def train(
     column standard deviations); mirrored halves pass through here so a
     larger perturbation cannot shrink one half's effective weights.
 
-    Raises TrainingError, carrying the loss trace, if the loss leaves the
-    finite range.  The trace has one entry before training plus one per
-    epoch, all measured on the full data.
+    ``loss_trace`` has each epoch's mean minibatch loss (taken before each
+    step), then the full-data loss after training.  Raises TrainingError,
+    carrying the trace so far, once an entry is non-finite.
     """
     (net,) = train_many([inputs], targets, config, [config.seed], [paired_columns])
     if isinstance(net, TrainingError):
@@ -417,13 +420,9 @@ def path_importance(net: TrainedNet) -> ImportanceVector:
     scale.
     """
     chain = net.weights[-1]
-    for t in range(len(net.weights) - 2, 0, -1):
+    for t in range(len(net.weights) - 2, -1, -1):
         chain = net.weights[t] @ chain
-    if len(net.weights) == 1:
-        values = net.weights[0][:, 0]
-    else:
-        values = (net.weights[0] @ chain)[:, 0]
-    return ImportanceVector(values, "path_product")
+    return ImportanceVector(chain[:, 0], "path_product")
 
 
 def gradient_importance(net: TrainedNet, at_point) -> ImportanceVector:

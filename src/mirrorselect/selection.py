@@ -80,15 +80,18 @@ def adaptive_threshold(m, q: float) -> float | None:
     q = float(q)
     if not 0.0 < q < 1.0:
         raise ConfigurationError(f"q must lie in (0, 1), got {q}")
-    for t in threshold_candidates(m):
-        if estimate_fdp(m, t) <= q:
-            return float(t)
-    return None
+    return next((t for t, fdp in fdp_curve(m) if fdp <= q), None)
 
 
 def fdp_curve(m) -> tuple[tuple[float, float], ...]:
-    """(threshold, estimated FDP) at every candidate threshold."""
-    return tuple((float(t), estimate_fdp(m, t)) for t in threshold_candidates(m))
+    """(threshold, estimated FDP) at every candidate, tallied from one sort."""
+    m = np.sort(np.asarray(m, dtype=float))
+    if np.isnan(m).any():
+        raise InvalidDataError("statistics must not be NaN")
+    t = threshold_candidates(m)
+    below = np.searchsorted(m, -t, side="right")  # #{m <= -t}
+    above = m.size - np.searchsorted(m, t)  # #{m >= t}
+    return tuple(zip(t.tolist(), (below / np.maximum(above, 1)).tolist()))
 
 
 @dataclass(frozen=True)

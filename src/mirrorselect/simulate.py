@@ -188,7 +188,6 @@ class Metrics:
 
     fdp: float
     power: float
-    tpr: float
     fpr: float
     selected_count: int
 
@@ -212,7 +211,7 @@ def evaluate(selected, truth, p: int) -> Metrics:
     fdp = fp / max(len(selected), 1)
     power = tp / len(truth) if truth else 1.0
     fpr = fp / max(fp + tn, 1)
-    return Metrics(fdp, power, power, fpr, len(selected))
+    return Metrics(fdp, power, fpr, len(selected))
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,6 @@ class RepRecord:
     seed_label: str
     fdp: float
     power: float
-    tpr: float
     fpr: float
     threshold: float | None
     n_selected: int
@@ -330,7 +328,6 @@ def _run_one_rep(
         seed_label=f"{sel_rng.seed}:{sel_rng.stream}",
         fdp=metrics.fdp,
         power=metrics.power,
-        tpr=metrics.tpr,
         fpr=metrics.fpr,
         threshold=result.threshold,
         n_selected=metrics.selected_count,

@@ -2,7 +2,13 @@
 
 import csv
 import json
+import logging
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,10 +111,12 @@ class TestLoadCsv:
         with pytest.raises(InvalidDataError, match="cannot read"):
             load_csv(tmp_path / "absent.csv")
 
-    def test_constant_column_warns(self, tmp_path):
+    def test_constant_column_warns(self, tmp_path, caplog):
         path = _write(tmp_path / "d.csv", "a,b,y\n1,7,3\n2,7,4\n")
-        with pytest.warns(UserWarning, match="constant.*: b"):
+        with caplog.at_level(logging.WARNING, logger="mirrorselect"):
             ds = load_csv(path)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert re.search("constant.*: b", caplog.text)
         assert ds.p == 2
 
     def test_round_trip_exact(self, tmp_path):
@@ -173,6 +181,24 @@ SELECT_FLAGS = [
 
 
 class TestCli:
+    def test_constant_column_keeps_stderr_empty(self, tmp_path, gen):
+        # a fresh interpreter, so no test harness handler is attached
+        x = np.column_stack([gen.standard_normal((80, 3)), np.full(80, 7.0)])
+        y = 2.0 * x[:, 0] + gen.standard_normal(80)
+        ds = Dataset(x, y, names=("a", "b", "c", "konst"))
+        write_dataset_csv(ds, tmp_path / "d.csv")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mirrorselect.cli", "select", "--data", str(tmp_path / "d.csv"),
+             *SELECT_FLAGS, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert [f["constant"] for f in doc["features"]] == [False, False, False, True]
+
     def test_simulate_deterministic(self, tmp_path):
         a = _simulate(tmp_path, "a")
         b = _simulate(tmp_path, "b")
@@ -258,7 +284,7 @@ class TestCli:
         assert code == 0
         with (out / "reps.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["seed", "fdp", "power", "tpr", "fpr", "threshold", "runtime_ms"]
+        assert rows[0] == ["seed", "fdp", "power", "fpr", "threshold", "runtime_ms"]
         assert len(rows) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["reps"] == 2

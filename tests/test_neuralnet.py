@@ -167,6 +167,43 @@ def test_divergence_raises_with_trace(gen):
     assert not np.isfinite(info.value.trace[-1])
 
 
+@pytest.mark.parametrize("epochs", [0, 9])
+def test_trace_ends_with_full_data_loss(gen, epochs):
+    x = gen.standard_normal((70, 3))
+    y = 5.0 + 2.0 * x[:, 1] + gen.standard_normal(70)
+    cfg = NetConfig(hidden_sizes=(6, 3), epochs=epochs, batch_size=32,
+                    learning_rate=1e-2, seed=RngSeed(8))
+    net = train(x, y, cfg)
+    assert len(net.loss_trace) == epochs + 1
+    residual = (net.predict(x) - net.target_mean) / net.target_scale - (y - y.mean()) / y.std()
+    np.testing.assert_allclose(net.loss_trace[-1], np.mean(residual**2), rtol=1e-12)
+
+
+def test_one_full_data_forward_per_fit(gen, monkeypatch):
+    # minibatches of 32 never span all 70 rows, so only the final loss does
+    designs, y, seeds, pairs = _stack_problem(gen, 7)
+    cfg = NetConfig(hidden_sizes=(6, 3), epochs=5, batch_size=32, learning_rate=1e-2)
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", 2 * 8 * 70 * (5 + 6 + 3 + 1))
+    calls = {"fit": 0, "full": 0}
+    fit_stack = neuralnet._fit_stack
+    forward = neuralnet._forward
+
+    def counting_fit_stack(*args):
+        calls["fit"] += 1
+        return fit_stack(*args)
+
+    def counting_forward(a, *args):
+        calls["full"] += a.shape[-2] == 70
+        return forward(a, *args)
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", counting_fit_stack)
+    monkeypatch.setattr(neuralnet, "_forward", counting_forward)
+    train_many(designs, y, cfg, seeds, pairs)
+    assert calls == {"fit": 4, "full": 4}
+    train(designs[0], y, cfg)
+    assert calls == {"fit": 5, "full": 5}
+
+
 def test_predictions_on_raw_scale(gen):
     x = 4.0 + 2.0 * gen.standard_normal((120, 2))
     y = 10.0 + x[:, 0]

@@ -128,14 +128,27 @@ class TestAdaptiveThreshold:
         with pytest.raises(ConfigurationError):
             adaptive_threshold([1.0], q)
 
+    def test_nan_statistic_rejected(self):
+        # a NaN would sort last and count as a tally above every threshold
+        with pytest.raises(InvalidDataError):
+            adaptive_threshold([np.nan, 1.0, -2.0], 0.2)
+        with pytest.raises(InvalidDataError):
+            fdp_curve([np.nan, 1.0, -2.0])
+
 
 def test_fdp_curve_matches_pointwise(gen):
-    m = gen.standard_normal(20)
-    curve = fdp_curve(m)
-    grid = threshold_candidates(m)
-    assert [t for t, _ in curve] == list(grid)
-    for t, f in curve:
-        assert f == estimate_fdp(m, t)
+    normal = gen.standard_normal(20)
+    ties = np.append(np.round(gen.standard_normal(40), 1), [0.0, -0.0, 0.0])
+    all_negative = -np.abs(gen.standard_normal(10))
+    for m in (normal, ties, np.concatenate([ties, -ties]), all_negative, np.zeros(6)):
+        curve = fdp_curve(m)
+        grid = threshold_candidates(m)
+        assert [t for t, _ in curve] == list(grid)
+        for t, f in curve:
+            assert f == estimate_fdp(m, t)
+        for q in (0.1, 0.2, 0.5):
+            first = next((float(t) for t in grid if estimate_fdp(m, t) <= q), None)
+            assert adaptive_threshold(m, q) == first
 
 
 def test_default_m_keep():

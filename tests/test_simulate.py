@@ -195,7 +195,6 @@ class TestEvaluate:
         m = evaluate({1, 2, 3, 4}, {1, 2}, 10)
         assert m.fdp == 0.5
         assert m.power == 1.0
-        assert m.tpr == 1.0
         np.testing.assert_allclose(m.fpr, 2 / 8)
 
     def test_empty_selection(self):
@@ -207,7 +206,7 @@ class TestEvaluate:
         assert evaluate({0}, set(), 5).fdp == 1.0
 
     def test_count_identities(self, gen):
-        # fdp + precision = 1 on nonempty selections; tpr * |truth| counts
+        # fdp + precision = 1 on nonempty selections; power * |truth| counts
         for _ in range(50):
             p = 12
             selected = set(int(j) for j in gen.choice(p, size=4, replace=False))
@@ -215,7 +214,7 @@ class TestEvaluate:
             m = evaluate(selected, truth, p)
             precision = len(selected & truth) / len(selected)
             np.testing.assert_allclose(m.fdp + precision, 1.0)
-            np.testing.assert_allclose(m.tpr * len(truth), round(m.tpr * len(truth)))
+            np.testing.assert_allclose(m.power * len(truth), round(m.power * len(truth)))
 
     @pytest.mark.parametrize("selected,truth", [({10}, {1}), ({1}, {-1})])
     def test_out_of_range(self, selected, truth):
