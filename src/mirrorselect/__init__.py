@@ -35,7 +35,6 @@ from .kernelmeasure import (
     GramTriple,
     KernelSpec,
     SearchConfig,
-    center_gram,
     closed_form_c_linear,
     conditional_dependence,
     gram_matrix,
@@ -115,7 +114,6 @@ __all__ = [
     "TrainedNet",
     "TrainingError",
     "adaptive_threshold",
-    "center_gram",
     "closed_form_c_linear",
     "conditional_dependence",
     "default_coef_sd",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -311,21 +312,29 @@ def _cmd_benchmark(args, out_dir: Path) -> None:
         threads=args.threads,
     )
     write_benchmark_csv(result, out_dir / "reps.csv")
+    summary = {
+        "method": result.method,
+        "q": result.q,
+        "reps": result.reps,
+        "completed": len(result.rows),
+        "failures": [[rep, msg] for rep, msg in result.failures],
+        "mean_fdp": result.mean_fdp,
+        "se_fdp": result.se_fdp,
+        "mean_power": result.mean_power,
+        "se_power": result.se_power,
+        "mean_fpr": result.mean_fpr,
+    }
+    # A mean over no completed rep is NaN, which JSON cannot hold.
     write_json(
         {
-            "method": result.method,
-            "q": result.q,
-            "reps": result.reps,
-            "completed": len(result.rows),
-            "failures": [[rep, msg] for rep, msg in result.failures],
-            "mean_fdp": result.mean_fdp,
-            "se_fdp": result.se_fdp,
-            "mean_power": result.mean_power,
-            "se_power": result.se_power,
-            "mean_fpr": result.mean_fpr,
+            k: None if isinstance(v, float) and math.isnan(v) else v
+            for k, v in summary.items()
         },
         out_dir / "summary.json",
     )
+    if not result.rows:
+        print(f"{result.method}: no rep completed; all {result.reps} failed")
+        return
     print(
         f"{result.method}: mean fdp {result.mean_fdp:.3f}, "
         f"mean power {result.mean_power:.3f} over {len(result.rows)} reps"

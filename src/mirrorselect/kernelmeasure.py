@@ -13,9 +13,13 @@ W.  For linear kernels that minimizer has a closed form; for other
 kernels a bracketed golden-section search is used.
 
 Inputs are validated once, at the public entry points; the private
-``_center`` and ``_dependence`` behind them trust their arguments.  The
-c-search evaluates ``_dependence`` on Gram matrices it has just built,
-so no n x n matrix is re-checked per evaluation.
+``_gram``, ``_center`` and ``_dependence`` behind them trust their
+arguments.  The non-linear c-search builds one ``_Objective`` per
+feature: the halves' kernel (bandwidth resolved from x), K_W with its
+magnitude, and the bound c_max.  An evaluation then builds only the two
+halves' Grams and the measure.  ``_linear_closed_form`` forms the linear
+quartic's inputs for ``closed_form_c_linear``, ``minimize_c`` and the
+mirror construction alike.
 """
 
 from __future__ import annotations
@@ -111,6 +115,27 @@ def median_heuristic_bandwidth(data) -> float:
     return float(np.median(dists))
 
 
+def _resolved(spec: KernelSpec, block) -> KernelSpec:
+    """``spec``, with a gaussian bandwidth left unset resolved by the
+    median heuristic on ``block``."""
+    if spec.family == "gaussian" and spec.bandwidth is None:
+        return spec.with_bandwidth(median_heuristic_bandwidth(block))
+    return spec
+
+
+def _gram(block: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Exactly symmetric Gram matrix of a finite 2-d block with at least
+    one column, under a spec whose gaussian bandwidth is resolved."""
+    if spec.family == "linear":
+        k = block @ block.T
+    elif spec.family == "gaussian":
+        bw = spec.bandwidth
+        k = np.exp(_pairwise_sq_dists(block) / (-2.0 * bw * bw))
+    else:
+        k = (block @ block.T + spec.offset) ** spec.degree
+    return (k + k.T) / 2.0
+
+
 def gram_matrix(data, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of the rows of ``data`` under ``spec``.
 
@@ -120,16 +145,15 @@ def gram_matrix(data, spec: KernelSpec) -> np.ndarray:
     block = _as_block(data)
     if block.shape[1] == 0:
         raise InvalidDataError("kernel input must have at least one column")
-    if spec.family == "linear":
-        k = block @ block.T
-    elif spec.family == "gaussian":
-        bw = spec.bandwidth
-        if bw is None:
-            bw = median_heuristic_bandwidth(block)
-        k = np.exp(_pairwise_sq_dists(block) / (-2.0 * bw * bw))
-    else:
-        k = (block @ block.T + spec.offset) ** spec.degree
-    return (k + k.T) / 2.0
+    return _gram(block, _resolved(spec, block))
+
+
+def _gram_w(w_block: np.ndarray, spec: KernelSpec, n: int) -> np.ndarray:
+    """K_W of an n-row conditioning block: the all-ones matrix when the
+    block has no columns (conditioning on nothing)."""
+    if w_block.shape[1] == 0:
+        return np.ones((n, n))
+    return gram_matrix(w_block, spec)
 
 
 def _check_square_symmetric(k: np.ndarray, label: str) -> np.ndarray:
@@ -150,11 +174,6 @@ def _center(k: np.ndarray) -> np.ndarray:
     grand = k.mean()
     out = k - row - col + grand
     return (out + out.T) / 2.0
-
-
-def center_gram(k) -> np.ndarray:
-    """Double centering H K H without forming H explicitly."""
-    return _center(_check_square_symmetric(k, "gram matrix"))
 
 
 @dataclass(frozen=True)
@@ -186,29 +205,27 @@ class GramTriple:
         object.__setattr__(self, "k_w", k_w)
 
     @classmethod
-    def from_data(cls, u, v, w, spec: KernelSpec, w_spec: KernelSpec | None = None) -> "GramTriple":
+    def from_data(cls, u, v, w, spec: KernelSpec) -> "GramTriple":
         """Build the triple from raw blocks.  ``w`` may have zero columns,
         in which case K_W is the all-ones matrix (conditioning on nothing)."""
         k_u = gram_matrix(u, spec)
         k_v = gram_matrix(v, spec)
-        w_block = _as_block(w)
-        if w_block.shape[1] == 0:
-            k_w = np.ones((k_u.shape[0], k_u.shape[0]))
-        else:
-            k_w = gram_matrix(w_block, w_spec if w_spec is not None else spec)
-        return cls(k_u, k_v, k_w)
+        return cls(k_u, k_v, _gram_w(_as_block(w), spec, k_u.shape[0]))
 
 
-def _dependence(k_u: np.ndarray, k_v: np.ndarray, k_w: np.ndarray) -> float:
-    """The measure on three same-shape symmetric Gram matrices; a
-    non-finite entry (an overflowing kernel) raises NumericalError."""
+def _dependence(
+    k_u: np.ndarray, k_v: np.ndarray, k_w: np.ndarray, k_w_max: float
+) -> float:
+    """The measure on three same-shape symmetric Gram matrices, given
+    max |K_W|; a non-finite entry (an overflowing kernel) raises
+    NumericalError."""
     n = k_u.shape[0]
     ku_c = _center(k_u)
     kv_c = _center(k_v)
     value = float(np.einsum("ij,ij,ij->", ku_c, kv_c, k_w)) / (n * n)
     scale = max(
         1.0,
-        float(np.abs(ku_c).max() * np.abs(kv_c).max() * np.abs(k_w).max()),
+        float(np.abs(ku_c).max() * np.abs(kv_c).max() * k_w_max),
     )
     if not math.isfinite(value):
         raise NumericalError("dependence measure is non-finite")
@@ -226,7 +243,7 @@ def conditional_dependence(grams: GramTriple) -> float:
     invariant to any simultaneous permutation of the rows of all three
     blocks.
     """
-    return _dependence(grams.k_u, grams.k_v, grams.k_w)
+    return _dependence(grams.k_u, grams.k_v, grams.k_w, np.abs(grams.k_w).max())
 
 
 @dataclass(frozen=True)
@@ -290,14 +307,28 @@ def _search_inputs(x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, z, w_block
 
 
-def _linear_result(wt_x2, wt_z2, abs_wt_z2, n: int) -> CMinimizationResult:
-    """Closed-form minimizer of the linear-kernel objective
-
-        G(c) = alpha - 2 beta c**2 + gamma c**4,
-
-    where G(c) = n**2 * dep(x + c z, x - c z | W) for centered x and z.
-    The inputs are W'x**2, W'z**2 and |W|'z**2 (squares taken entrywise);
-    each coefficient is an inner product of two of them."""
+def _linear_closed_form(
+    x, z, w, w_abs, drop: int | None = None, center: bool = True
+) -> CMinimizationResult:
+    """``closed_form_c_linear`` on checked inputs, given |W| as ``w_abs``.
+    The quartic's coefficients are inner products of W'x**2, W'z**2 and
+    |W|'z**2 (squares entrywise); ``drop`` removes that column's entry
+    from each, so a full design can stand in for W without a copy."""
+    n = x.shape[0]
+    if center:
+        x = x - x.mean()
+        z = z - z.mean()
+    x2 = x * x
+    z2 = z * z
+    products = (w.T @ x2, w.T @ z2, w_abs.T @ z2)
+    if drop is not None:
+        products = (np.delete(v, drop) for v in products)
+    wt_x2, wt_z2, abs_wt_z2 = products
+    if wt_x2.size == 0:
+        # Conditioning on nothing: K_W is all ones, as for the single
+        # column W = 1, so each product collapses to a sum.
+        wt_x2 = x2.sum(keepdims=True)
+        wt_z2 = abs_wt_z2 = z2.sum(keepdims=True)
     alpha = float(wt_x2 @ wt_x2)
     beta = float(wt_x2 @ wt_z2)
     gamma = float(wt_z2 @ wt_z2)
@@ -333,18 +364,7 @@ def closed_form_c_linear(x, z, w=None, center: bool = True) -> CMinimizationResu
     see, and raises DegeneratePerturbationError.
     """
     x, z, w_block = _search_inputs(x, z, w)
-    n = x.shape[0]
-    if center:
-        x = x - x.mean()
-        z = z - z.mean()
-    x2 = x * x
-    z2 = z * z
-    if w_block.shape[1] == 0:
-        # Conditioning on nothing: K_W is all ones, as for the single
-        # column W = 1, so each product collapses to a sum.
-        sz = np.array([z2.sum()])
-        return _linear_result(np.array([x2.sum()]), sz, sz, n)
-    return _linear_result(w_block.T @ x2, w_block.T @ z2, np.abs(w_block).T @ z2, n)
+    return _linear_closed_form(x, z, w_block, np.abs(w_block), center=center)
 
 
 def _golden_section(f, a: float, b: float, tol: float):
@@ -375,6 +395,31 @@ def _golden_section(f, a: float, b: float, tol: float):
     return (a + d) / 2.0 if yc < yd else (c + b) / 2.0, evals
 
 
+class _Objective:
+    """One feature's c-search objective, c -> dep(x + c z, x - c z | W)**2.
+    What does not depend on c is built once, here; a call builds the
+    halves' two Grams and the measure, and validates nothing."""
+
+    def __init__(self, x, z, w_block, spec: KernelSpec, search: SearchConfig):
+        self.uv_spec = _resolved(spec, x)
+        self.k_w = _gram_w(w_block, spec, x.shape[0])
+        self.k_w_max = np.abs(self.k_w).max()
+        self.c_max = (
+            search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
+        )
+        self.x = x[:, None]
+        self.z = z[:, None]
+
+    def __call__(self, c: float) -> float:
+        value = _dependence(
+            _gram(self.x + c * self.z, self.uv_spec),
+            _gram(self.x - c * self.z, self.uv_spec),
+            self.k_w,
+            self.k_w_max,
+        )
+        return value * value
+
+
 def minimize_c(
     x,
     z,
@@ -384,65 +429,43 @@ def minimize_c(
 ) -> CMinimizationResult:
     """Scale c minimizing dep(x + c z, x - c z | w) over c >= 0.
 
-    Linear kernels dispatch to the closed form.  Other kernels use a
-    coarse grid to bracket the best basin on [0, c_max] followed by
-    golden-section refinement; gaussian bandwidths left unset in ``spec``
-    are resolved once from x (for both mirrored blocks) and once from w,
-    then held fixed across all evaluations so the objective is a fixed
-    function of c.  A kernel that overflows (say a high polynomial
-    degree) raises NumericalError naming the kernel family.
+    Linear kernels take the closed form.  Other kernels use a coarse
+    grid to bracket the best basin on [0, c_max] followed by
+    golden-section refinement.  A gaussian bandwidth left unset in
+    ``spec`` is resolved once from x (for both mirrored halves) and once
+    from w, and K_W is built once, so the objective is a fixed function
+    of c.  A kernel that overflows (say a high polynomial degree) raises
+    NumericalError naming the kernel family.
     """
     x, z, w_block = _search_inputs(x, z, w)
     if float(np.linalg.norm(z)) == 0.0:
         raise DegeneratePerturbationError("perturbation z is identically zero")
 
     if spec.family == "linear":
-        return closed_form_c_linear(x, z, w_block, center=True)
+        return _linear_closed_form(x, z, w_block, np.abs(w_block))
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _scalar_search(x, z, w_block, spec, search)
+            return _scalar_search(_Objective(x, z, w_block, spec, search), search)
     except FloatingPointError as err:
         raise NumericalError(f"{spec.family} kernel overflowed: {err}") from err
 
 
-def _scalar_search(
-    x, z, w_block, spec: KernelSpec, search: SearchConfig
-) -> CMinimizationResult:
+def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimizationResult:
     """The grid-bracketed golden-section search of ``minimize_c``."""
-    n = x.shape[0]
-    uv_spec = spec
-    if spec.family == "gaussian" and spec.bandwidth is None:
-        uv_spec = spec.with_bandwidth(median_heuristic_bandwidth(x))
-    if w_block.shape[1] == 0:
-        k_w = np.ones((n, n))
-    else:
-        w_spec = spec
-        if spec.family == "gaussian" and spec.bandwidth is None:
-            w_spec = spec.with_bandwidth(median_heuristic_bandwidth(w_block))
-        k_w = gram_matrix(w_block, w_spec)
-
-    evals = 0
-
-    def objective(c: float) -> float:
-        nonlocal evals
-        evals += 1
-        k_u = gram_matrix(x + c * z, uv_spec)
-        k_v = gram_matrix(x - c * z, uv_spec)
-        value = _dependence(k_u, k_v, k_w)
-        return value * value
-
-    c_max = search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
+    c_max = objective.c_max
     if c_max == 0.0:
-        return CMinimizationResult(0.0, objective(0.0), "scalar_search", evals)
+        return CMinimizationResult(0.0, objective(0.0), "scalar_search", 1)
 
     grid = np.linspace(0.0, c_max, search.bracket_points)
     values = [objective(c) for c in grid]
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    c_star, _ = _golden_section(objective, lo, hi, search.tol_factor * c_max)
+    c_star, refinements = _golden_section(objective, lo, hi, search.tol_factor * c_max)
     result_value = objective(c_star)
     if not math.isfinite(result_value):
         raise NumericalError(f"objective is non-finite at c={c_star}")
-    return CMinimizationResult(float(c_star), result_value, "scalar_search", evals)
+    return CMinimizationResult(
+        float(c_star), result_value, "scalar_search", len(values) + refinements + 1
+    )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigurationError, MirrorSelectError
-from .kernelmeasure import KernelSpec, _linear_result, minimize_c
+from .kernelmeasure import KernelSpec, _linear_closed_form, minimize_c
 from .rng import RngSeed
 
 
@@ -71,28 +71,17 @@ def _naming_feature(dataset: Dataset, j: int):
 def _mirror_feature(
     dataset: Dataset, j: int, spec: KernelSpec, rng: RngSeed, x_abs: np.ndarray | None
 ) -> MirrorPair:
-    """Feature j's pair.  A linear kernel with p >= 2 takes the closed form
-    from products with the full X (``x_abs`` is |X|), whose entry j is
-    dropped, so no copy of the remaining columns is made and the cost is
-    O(n p); every other case runs ``minimize_c`` against those columns."""
+    """Feature j's pair.  A linear kernel takes the closed form from
+    products with the full X (``x_abs`` is |X|), whose entry j is dropped,
+    so no copy of the remaining columns is made and the cost is O(n p);
+    other kernels run ``minimize_c`` against those columns."""
     x_all = dataset.x
     x = x_all[:, j]
     z = rng.named_child(dataset.names[j]).generator().standard_normal(dataset.n)
     with _naming_feature(dataset, j):
-        if spec.family == "linear" and dataset.p > 1:
-            xc = x - x.mean()
-            zc = z - z.mean()
-            x2 = xc * xc
-            z2 = zc * zc
-            result = _linear_result(
-                np.delete(x_all.T @ x2, j),
-                np.delete(x_all.T @ z2, j),
-                np.delete(x_abs.T @ z2, j),
-                dataset.n,
-            )
+        if spec.family == "linear":
+            result = _linear_closed_form(x, z, x_all, x_abs, drop=j)
         else:
-            # With p = 1 there is nothing to condition on; minimize_c
-            # handles that.
             result = minimize_c(x, z, np.delete(x_all, j, axis=1), spec)
     x_plus = x + result.c_star * z
     return MirrorPair(

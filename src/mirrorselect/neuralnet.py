@@ -210,6 +210,9 @@ def _forward(a, weights, biases, act) -> list[np.ndarray]:
     return acts
 
 
+# A diverging net overflows to inf and NaN on its way out; the
+# finite-loss check below reports it as a TrainingError instead.
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
     """Minibatch SGD on a stack of nets; net i sees only ``xs[i]``.
 

@@ -72,14 +72,20 @@ def threshold_candidates(m) -> np.ndarray:
     return np.unique(np.abs(m[m != 0.0]))
 
 
+def _check_q(q) -> float:
+    """The target FDR level as a float; it must lie in (0, 1)."""
+    q = float(q)
+    if not 0.0 < q < 1.0:
+        raise ConfigurationError(f"q must lie in (0, 1), got {q}")
+    return q
+
+
 def adaptive_threshold(m, q: float) -> float | None:
     """Smallest candidate threshold with estimated FDP at most ``q``.
 
     Returns None when no candidate qualifies (nothing is selected).
     """
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError(f"q must lie in (0, 1), got {q}")
+    q = _check_q(q)
     return next((t for t, fdp in fdp_curve(m) if fdp <= q), None)
 
 
@@ -269,8 +275,7 @@ def _run(method, score, dataset, q, spec, net, rng, screen_opts) -> SelectionRes
     t0 = time.perf_counter()
     if not isinstance(dataset, Dataset):
         raise InvalidDataError("expected a Dataset")
-    if not 0.0 < float(q) < 1.0:
-        raise ConfigurationError(f"q must lie in (0, 1), got {q}")
+    q = _check_q(q)
     p = dataset.p
     constant = dataset.constant_columns()
     active = [j for j in range(p) if not constant[j]]
@@ -325,7 +330,7 @@ def _run(method, score, dataset, q, spec, net, rng, screen_opts) -> SelectionRes
         selected = frozenset(int(j) for j in np.flatnonzero(m >= threshold))
     return SelectionResult(
         method=method,
-        q=float(q),
+        q=q,
         threshold=threshold,
         selected=selected,
         stats=MirrorStats(m, l_plus, l_minus),

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, InvalidDataError, MirrorSelectError, Num
 from .kernelmeasure import KernelSpec
 from .neuralnet import NetConfig
 from .rng import RngSeed
-from .selection import ScreenOptions, run_ingm, run_sngm
+from .selection import ScreenOptions, _check_q, run_ingm, run_sngm
 
 _STRUCTURES = ("identity", "toeplitz_pc", "constant_pc")
 
@@ -361,8 +361,14 @@ def run_benchmark(
         )
     if reps < 1:
         raise ConfigurationError(f"reps must be positive, got {reps}")
-    if method.startswith("s_") and screen_opts is None:
-        screen_opts = ScreenOptions()
+    q = _check_q(q)
+    if method.startswith("s_"):
+        if screen_opts is None:
+            screen_opts = ScreenOptions()
+        if screen_opts.m_keep is not None and screen_opts.m_keep > design.p:
+            raise ConfigurationError(
+                f"m_keep must lie in [1, {design.p}], got {screen_opts.m_keep}"
+            )
     worker = functools.partial(
         _run_one_rep,
         design=design,
@@ -387,7 +393,7 @@ def run_benchmark(
     mean_fpr, _ = _mean_se([r.fpr for r in rows])
     return BenchmarkResult(
         method=method,
-        q=float(q),
+        q=q,
         reps=reps,
         rows=tuple(rows),
         failures=tuple(failures),

@@ -405,19 +405,74 @@ class TestCli:
     def test_divergent_training_exits_5(self, tmp_path, capsys):
         sim = _simulate(tmp_path, "sim6")
         out = tmp_path / "div"
-        with np.errstate(all="ignore"):
-            code = main(
-                [
-                    "select", "--data", str(sim / "dataset.csv"),
-                    "--method", "sngm", "--hidden", "8", "--epochs", "20",
-                    "--learning-rate", "1e8", "--activation", "relu",
-                    "--q", "0.2", "--seed", "1", "--out", str(out),
-                ]
-            )
+        code = main(
+            [
+                "select", "--data", str(sim / "dataset.csv"),
+                "--method", "sngm", "--hidden", "8", "--epochs", "20",
+                "--learning-rate", "1e8", "--activation", "relu",
+                "--q", "0.2", "--seed", "1", "--out", str(out),
+            ]
+        )
         capsys.readouterr()
         assert code == 5
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "TrainingError"
+
+    def test_divergent_training_stderr_is_one_json_line(self, tmp_path):
+        # a fresh interpreter, so numpy's warnings reach stderr unfiltered
+        sim = _simulate(tmp_path, "sim8")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mirrorselect.cli", "select",
+             "--data", str(sim / "dataset.csv"), "--method", "ingm",
+             "--activation", "relu", "--hidden", "8", "--epochs", "20",
+             "--batch-size", "16", "--learning-rate", "5",
+             "--out", str(tmp_path / "div")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 5
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "TrainingError"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--q", "1.5"], "q must lie in"),
+            (["--q", "0.2", "--method", "s_sngm", "--m-keep", "9"], "m_keep must lie in"),
+        ],
+        ids=["q", "m_keep"],
+    )
+    def test_benchmark_rejects_before_any_rep(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bench"
+        code = main(
+            [
+                "benchmark", "--n", "30", "--p", "5", "--k", "2", "--reps", "2",
+                "--hidden", "4", "--epochs", "2", *flags, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert message in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "summary.json").exists()
+
+    def test_benchmark_with_no_completed_rep_writes_null_means(self, tmp_path, capsys):
+        # screening needs six rows, so every repetition fails
+        out = tmp_path / "bench"
+        code = main(
+            [
+                "benchmark", "--n", "5", "--p", "4", "--k", "1", "--reps", "2",
+                "--method", "s_sngm", "--q", "0.2", "--hidden", "4",
+                "--epochs", "2", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "no rep completed" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["completed"] == 0
+        assert len(summary["failures"]) == 2
+        for key in ("mean_fdp", "se_fdp", "mean_power", "se_power", "mean_fpr"):
+            assert summary[key] is None
 
     def test_screening_method_via_cli(self, tmp_path):
         sim = _simulate(tmp_path, "sim7", n="120", p="6", k="2")

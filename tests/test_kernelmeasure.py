@@ -11,7 +11,6 @@ from mirrorselect import (
     KernelSpec,
     NumericalError,
     SearchConfig,
-    center_gram,
     closed_form_c_linear,
     conditional_dependence,
     gram_matrix,
@@ -92,39 +91,6 @@ def test_median_heuristic_degenerate_rows():
     assert median_heuristic_bandwidth(np.zeros(5)) == 1.0
 
 
-# -------------------------------------------------------------- centering
-
-
-def test_center_gram_n1_annihilates():
-    np.testing.assert_array_equal(center_gram(np.array([[5.0]])), [[0.0]])
-
-
-def test_center_gram_2x2_oracle():
-    out = center_gram(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    np.testing.assert_allclose(out, [[0.25, -0.25], [-0.25, 0.25]], rtol=1e-15)
-
-
-def test_center_gram_idempotent(gen):
-    a = gen.standard_normal((7, 7))
-    k = a + a.T
-    once = center_gram(k)
-    np.testing.assert_allclose(center_gram(once), once, atol=1e-12)
-
-
-def test_center_gram_zero_margins(gen):
-    a = gen.standard_normal((12, 12))
-    out = center_gram(a + a.T)
-    np.testing.assert_allclose(out.sum(axis=0), 0.0, atol=1e-10)
-    np.testing.assert_allclose(out.sum(axis=1), 0.0, atol=1e-10)
-
-
-def test_center_gram_rejects_bad_input(gen):
-    with pytest.raises(InvalidDataError):
-        center_gram(gen.standard_normal((3, 4)))
-    with pytest.raises(InvalidDataError):
-        center_gram(np.array([[0.0, 1.0], [5.0, 0.0]]))
-
-
 # ------------------------------------------------------- dependence measure
 
 
@@ -176,6 +142,18 @@ def test_gram_triple_shape_mismatch(gen):
     b = gen.standard_normal((5, 5))
     with pytest.raises(InvalidDataError):
         GramTriple(a + a.T, a + a.T, b + b.T)
+
+
+@pytest.mark.parametrize("slot", ["k_u", "k_v", "k_w"])
+def test_gram_triple_rejects_non_square_and_asymmetric(gen, slot):
+    bad = {
+        "must be square": gen.standard_normal((2, 3)),
+        "is not symmetric": np.array([[0.0, 1.0], [5.0, 0.0]]),
+    }
+    for reason, k in bad.items():
+        grams = {"k_u": np.eye(2), "k_v": np.eye(2), "k_w": np.eye(2), slot: k}
+        with pytest.raises(InvalidDataError, match=f"{slot} {reason}"):
+            GramTriple(**grams)
 
 
 def test_gram_triple_empty_w_is_ones(gen):
@@ -460,6 +438,35 @@ def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
     )
     assert res.objective_at_c_star == public**2
     assert len(checks) == 3
+
+
+@pytest.mark.parametrize(
+    "spec, w_columns",
+    [
+        (KernelSpec("gaussian"), 0),
+        (KernelSpec("gaussian"), 3),
+        (KernelSpec("polynomial", degree=2), 3),
+    ],
+    ids=["gaussian-no-w", "gaussian-w3", "polynomial-w3"],
+)
+def test_objective_at_c_star_is_the_public_measure(gen, spec, w_columns):
+    # The c-search's private objective equals the public measure bitwise,
+    # resolved as minimize_c's docstring says: an unset gaussian bandwidth
+    # from x for both halves, and from w for K_W (all ones without w).
+    n = 20
+    x = gen.standard_normal(n)
+    z = gen.standard_normal(n)
+    w = gen.standard_normal((n, w_columns))
+    res = minimize_c(x, z, w, spec)
+    s = spec
+    if spec.family == "gaussian":
+        s = spec.with_bandwidth(median_heuristic_bandwidth(x))
+    k_w = gram_matrix(w, spec) if w_columns else np.ones((n, n))
+    c = res.c_star
+    public = conditional_dependence(
+        GramTriple(gram_matrix(x + c * z, s), gram_matrix(x - c * z, s), k_w)
+    )
+    assert res.objective_at_c_star == public * public
 
 
 def test_search_config_validation():

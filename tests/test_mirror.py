@@ -185,15 +185,14 @@ def test_gaussian_kernel_path(gen):
         direct = make_mirror(ds, j, spec, RngSeed(2))
         assert pair.c == direct.c
         w = np.delete(ds.x, j, axis=1)
-        k_w_spec = spec
         got = conditional_dependence(
-            GramTriple.from_data(pair.x_plus, pair.x_minus, w, spec, k_w_spec)
+            GramTriple.from_data(pair.x_plus, pair.x_minus, w, spec)
         )
         up = conditional_dependence(
             GramTriple.from_data(
                 ds.x[:, j] + 2 * pair.c * pair.z,
                 ds.x[:, j] - 2 * pair.c * pair.z,
-                w, spec, k_w_spec,
+                w, spec,
             )
         )
         assert got <= up + 1e-12

@@ -160,7 +160,7 @@ def test_divergence_raises_with_trace(gen):
     y = gen.standard_normal(64)
     cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=60,
                     batch_size=16, learning_rate=1e6, seed=RngSeed(3))
-    with pytest.raises(TrainingError) as info, np.errstate(all="ignore"):
+    with pytest.raises(TrainingError) as info:
         train(x, y, cfg)
     assert info.value.trace is not None
     assert len(info.value.trace) >= 2
@@ -300,9 +300,8 @@ def test_train_many_isolates_divergence(gen):
     cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=30,
                     batch_size=16, learning_rate=1.0)
     seeds = [RngSeed(5, i) for i in range(k)]
-    with np.errstate(all="ignore"):
-        stacked = train_many([x] * k, y, cfg, seeds)
-        alone = _fit_alone([x] * k, y, cfg, seeds, [None] * k)
+    stacked = train_many([x] * k, y, cfg, seeds)
+    alone = _fit_alone([x] * k, y, cfg, seeds, [None] * k)
     failed = [isinstance(r, TrainingError) for r in alone]
     assert 0 < sum(failed) < k
     assert len({len(r.trace) for r in alone if isinstance(r, TrainingError)}) > 1

@@ -361,8 +361,7 @@ class TestRunIngm:
             return fits
 
         monkeypatch.setattr(selection, "train_many", recording_train_many)
-        with np.errstate(all="ignore"):
-            res = run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.5), rng=RngSeed(2))
+        res = run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.5), rng=RngSeed(2))
         assert sorted(res.failure_reasons) == [8]
         assert res.stats.m[8] == 0.0
         assert res.stats.importance_plus[8] == res.stats.importance_minus[8] == 0.0
@@ -378,7 +377,7 @@ class TestRunIngm:
         assert records[8]["failure_reason"] == res.failure_reasons[8]
         assert all(rec["failure_reason"] is None for rec in records if rec["index"] != 8)
 
-        with pytest.raises(TrainingError) as info, np.errstate(all="ignore"):
+        with pytest.raises(TrainingError) as info:
             run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.6), rng=RngSeed(2))
         assert str(info.value).startswith("2 of 10 per-feature networks failed")
         assert info.value.feature_index == 3
