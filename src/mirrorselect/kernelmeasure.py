@@ -14,10 +14,15 @@ kernels a bracketed golden-section search is used.
 
 Inputs are validated once, at the public entry points; the private
 ``_gram``, ``_center`` and ``_dependence`` behind them trust their
-arguments.  The non-linear c-search builds one ``_Objective`` per
-feature: the halves' kernel (bandwidth resolved from x), K_W with its
-magnitude, and the bound c_max.  An evaluation then builds only the two
-halves' Grams and the measure.  ``_linear_closed_form`` forms the linear
+arguments.  ``_center`` double-centers an exactly symmetric matrix in
+place, so ``_dependence`` overwrites the K_U and K_V it is given, and
+``conditional_dependence`` hands it copies.  The non-linear c-search
+builds one ``_Objective`` per feature.  It holds K_W with its magnitude,
+the bound c_max, and, for the gaussian family, the pairwise differences
+of x and of z scaled by the bandwidth resolved from x (x and z for the
+polynomial family), and it owns two n x n buffers.  An evaluation
+overwrites the buffers with the halves' Grams and centers them there;
+it allocates no n x n array.  ``_linear_closed_form`` forms the linear
 quartic's inputs for ``closed_form_c_linear``, ``minimize_c`` and the
 mirror construction alike.
 """
@@ -168,12 +173,17 @@ def _check_square_symmetric(k: np.ndarray, label: str) -> np.ndarray:
     return k
 
 
-def _center(k: np.ndarray) -> np.ndarray:
-    row = k.mean(axis=0, keepdims=True)
-    col = k.mean(axis=1, keepdims=True)
-    grand = k.mean()
-    out = k - row - col + grand
-    return (out + out.T) / 2.0
+def _center(k: np.ndarray) -> None:
+    """Double-center an exactly symmetric matrix in place: H K H with
+    H = I - (1/n) 11', from one vector of means (rows and columns agree)."""
+    means = k.mean(axis=0)
+    k -= means
+    k -= (means - means.mean())[:, None]
+
+
+def _magnitude(k: np.ndarray) -> float:
+    """max |k| without an |k| temporary."""
+    return max(float(k.max()), -float(k.min()))
 
 
 @dataclass(frozen=True)
@@ -218,15 +228,13 @@ def _dependence(
 ) -> float:
     """The measure on three same-shape symmetric Gram matrices, given
     max |K_W|; a non-finite entry (an overflowing kernel) raises
-    NumericalError."""
+    NumericalError.  K_U and K_V must be exactly symmetric, and are
+    centered in place: the caller's two matrices are overwritten."""
     n = k_u.shape[0]
-    ku_c = _center(k_u)
-    kv_c = _center(k_v)
-    value = float(np.einsum("ij,ij,ij->", ku_c, kv_c, k_w)) / (n * n)
-    scale = max(
-        1.0,
-        float(np.abs(ku_c).max() * np.abs(kv_c).max() * k_w_max),
-    )
+    _center(k_u)
+    _center(k_v)
+    value = float(np.einsum("ij,ij,ij->", k_u, k_v, k_w)) / (n * n)
+    scale = max(1.0, _magnitude(k_u) * _magnitude(k_v) * k_w_max)
     if not math.isfinite(value):
         raise NumericalError("dependence measure is non-finite")
     if value < -1e-9 * scale:
@@ -241,9 +249,15 @@ def conditional_dependence(grams: GramTriple) -> float:
 
     Zero (up to floating point) when U or V is constant across rows, and
     invariant to any simultaneous permutation of the rows of all three
-    blocks.
+    blocks.  The triple is left as it is: the measure centers exactly
+    symmetric copies of K_U and K_V.
     """
-    return _dependence(grams.k_u, grams.k_v, grams.k_w, np.abs(grams.k_w).max())
+    return _dependence(
+        (grams.k_u + grams.k_u.T) / 2.0,
+        (grams.k_v + grams.k_v.T) / 2.0,
+        grams.k_w,
+        _magnitude(grams.k_w),
+    )
 
 
 @dataclass(frozen=True)
@@ -397,26 +411,59 @@ def _golden_section(f, a: float, b: float, tol: float):
 
 class _Objective:
     """One feature's c-search objective, c -> dep(x + c z, x - c z | W)**2.
-    What does not depend on c is built once, here; a call builds the
-    halves' two Grams and the measure, and validates nothing."""
+
+    What does not depend on c is built once, here: K_W with its
+    magnitude, c_max, and what the halves' kernel needs of x and z.  For
+    the gaussian family that is the bandwidth-scaled pairwise differences
+    x_i - x_k and z_i - z_k (scaled by 1 / (sqrt(2) h), h resolved from
+    x), so that K_U = exp(-(dx + c dz)**2) and K_V = exp(-(dx - c dz)**2);
+    for the polynomial family it is x and z themselves.  The object also
+    owns two n x n buffers.  A call overwrites them with K_U and K_V
+    (``halves``), centers them in place (``_dependence``), and validates
+    nothing; the held differences and K_W are only read.
+    """
 
     def __init__(self, x, z, w_block, spec: KernelSpec, search: SearchConfig):
-        self.uv_spec = _resolved(spec, x)
-        self.k_w = _gram_w(w_block, spec, x.shape[0])
-        self.k_w_max = np.abs(self.k_w).max()
+        n = x.shape[0]
+        self.k_w = _gram_w(w_block, spec, n)
+        self.k_w_max = _magnitude(self.k_w)
         self.c_max = (
             search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
         )
-        self.x = x[:, None]
-        self.z = z[:, None]
+        self.spec = _resolved(spec, x)
+        if self.spec.family == "gaussian":
+            scale = 1.0 / (math.sqrt(2.0) * self.spec.bandwidth)
+            x = np.subtract.outer(x, x)
+            x *= scale
+            z = np.subtract.outer(z, z)
+            z *= scale
+        self.x = x
+        self.z = z
+        self.k_u = np.empty((n, n))
+        self.k_v = np.empty((n, n))
+
+    def halves(self, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """K_U and K_V at scale c, written into the held buffers.  Both are
+        exactly symmetric; the gaussian ones have a unit diagonal."""
+        k_u, k_v = self.k_u, self.k_v
+        if self.spec.family == "gaussian":
+            # c dz goes into K_V's buffer, which dx - c dz then overwrites
+            shift = np.multiply(self.z, c, out=k_v)
+            np.add(self.x, shift, out=k_u)
+            np.subtract(self.x, shift, out=k_v)
+            for k in (k_u, k_v):
+                np.square(k, out=k)
+                np.negative(k, out=k)
+                np.exp(k, out=k)
+        else:
+            for k, row in ((k_u, self.x + c * self.z), (k_v, self.x - c * self.z)):
+                np.multiply.outer(row, row, out=k)
+                k += self.spec.offset
+                k **= self.spec.degree
+        return k_u, k_v
 
     def __call__(self, c: float) -> float:
-        value = _dependence(
-            _gram(self.x + c * self.z, self.uv_spec),
-            _gram(self.x - c * self.z, self.uv_spec),
-            self.k_w,
-            self.k_w_max,
-        )
+        value = _dependence(*self.halves(c), self.k_w, self.k_w_max)
         return value * value
 
 

@@ -362,6 +362,12 @@ def run_benchmark(
     if reps < 1:
         raise ConfigurationError(f"reps must be positive, got {reps}")
     q = _check_q(q)
+    # Mirroring needs three rows; screening splits off a third of six.
+    min_rows = 6 if method.startswith("s_") else 3
+    if design.n < min_rows:
+        raise ConfigurationError(
+            f"{method} needs at least {min_rows} rows, got n={design.n}"
+        )
     if method.startswith("s_"):
         if screen_opts is None:
             screen_opts = ScreenOptions()

@@ -441,8 +441,11 @@ class TestCli:
         [
             (["--q", "1.5"], "q must lie in"),
             (["--q", "0.2", "--method", "s_sngm", "--m-keep", "9"], "m_keep must lie in"),
+            (["--q", "0.2", "--n", "2"], "sngm needs at least 3 rows, got n=2"),
+            (["--q", "0.2", "--n", "5", "--method", "s_sngm"],
+             "s_sngm needs at least 6 rows, got n=5"),
         ],
-        ids=["q", "m_keep"],
+        ids=["q", "m_keep", "n-mirroring", "n-screening"],
     )
     def test_benchmark_rejects_before_any_rep(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bench"
@@ -457,13 +460,14 @@ class TestCli:
         assert not (out / "summary.json").exists()
 
     def test_benchmark_with_no_completed_rep_writes_null_means(self, tmp_path, capsys):
-        # screening needs six rows, so every repetition fails
+        # training diverges, so every repetition fails
         out = tmp_path / "bench"
         code = main(
             [
-                "benchmark", "--n", "5", "--p", "4", "--k", "1", "--reps", "2",
-                "--method", "s_sngm", "--q", "0.2", "--hidden", "4",
-                "--epochs", "2", "--out", str(out),
+                "benchmark", "--n", "30", "--p", "4", "--k", "1", "--reps", "2",
+                "--method", "sngm", "--q", "0.2", "--hidden", "8",
+                "--activation", "relu", "--epochs", "20",
+                "--learning-rate", "1e8", "--out", str(out),
             ]
         )
         assert code == 0

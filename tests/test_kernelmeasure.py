@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,50 @@ def test_minimize_c_overflow_is_numerical_error(gen):
         minimize_c(x, z, w, KernelSpec("polynomial", degree=400))
 
 
+class _PublicObjective:
+    """minimize_c's objective through the public, validating API,
+    resolved as minimize_c's docstring says: an unset gaussian bandwidth
+    from x for both halves, and from w for K_W (all ones without w)."""
+
+    def __init__(self, x, z, w, spec):
+        n = x.shape[0]
+        if spec.family == "gaussian" and spec.bandwidth is None:
+            self.spec = spec.with_bandwidth(median_heuristic_bandwidth(x))
+        else:
+            self.spec = spec
+        self.k_w = gram_matrix(w, spec) if w.shape[1] else np.ones((n, n))
+        self.c_max = (
+            SearchConfig().c_max_factor
+            * float(np.linalg.norm(x))
+            / float(np.linalg.norm(z))
+        )
+        self.x = x
+        self.z = z
+
+    def __call__(self, c):
+        value = conditional_dependence(
+            GramTriple(
+                gram_matrix(self.x + c * self.z, self.spec),
+                gram_matrix(self.x - c * self.z, self.spec),
+                self.k_w,
+            )
+        )
+        return value * value
+
+
+def _assert_is_the_public_search(res, x, z, w, spec):
+    # The private objective forms its Grams and centering in another
+    # order than the public measure, so the objective agrees to rtol
+    # 1e-12; c* and the evaluation count of the same grid and
+    # golden-section search driven by the public functions agree exactly.
+    ref = kernelmeasure._scalar_search(_PublicObjective(x, z, w, spec), SearchConfig())
+    assert res.c_star == ref.c_star
+    assert res.evaluations == ref.evaluations
+    np.testing.assert_allclose(
+        res.objective_at_c_star, ref.objective_at_c_star, rtol=1e-12, atol=0
+    )
+
+
 def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
     n = 20
     x = gen.standard_normal(n)
@@ -424,20 +469,9 @@ def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
     assert res.evaluations > 10
     assert checks == []
 
-    # the private objective is the public measure, bitwise, at the
-    # bandwidths minimize_c resolves from x and from w
-    uv_spec = KernelSpec("gaussian", bandwidth=median_heuristic_bandwidth(x))
-    w_spec = KernelSpec("gaussian", bandwidth=median_heuristic_bandwidth(w))
-    c = res.c_star
-    public = conditional_dependence(
-        GramTriple(
-            gram_matrix(x + c * z, uv_spec),
-            gram_matrix(x - c * z, uv_spec),
-            gram_matrix(w, w_spec),
-        )
-    )
-    assert res.objective_at_c_star == public**2
-    assert len(checks) == 3
+    # the public path validates all three matrices on every evaluation
+    _assert_is_the_public_search(res, x, z, w, KernelSpec("gaussian"))
+    assert len(checks) == 3 * res.evaluations
 
 
 @pytest.mark.parametrize(
@@ -450,23 +484,95 @@ def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
     ids=["gaussian-no-w", "gaussian-w3", "polynomial-w3"],
 )
 def test_objective_at_c_star_is_the_public_measure(gen, spec, w_columns):
-    # The c-search's private objective equals the public measure bitwise,
-    # resolved as minimize_c's docstring says: an unset gaussian bandwidth
-    # from x for both halves, and from w for K_W (all ones without w).
     n = 20
     x = gen.standard_normal(n)
     z = gen.standard_normal(n)
     w = gen.standard_normal((n, w_columns))
-    res = minimize_c(x, z, w, spec)
-    s = spec
-    if spec.family == "gaussian":
-        s = spec.with_bandwidth(median_heuristic_bandwidth(x))
-    k_w = gram_matrix(w, spec) if w_columns else np.ones((n, n))
-    c = res.c_star
-    public = conditional_dependence(
-        GramTriple(gram_matrix(x + c * z, s), gram_matrix(x - c * z, s), k_w)
+    _assert_is_the_public_search(minimize_c(x, z, w, spec), x, z, w, spec)
+
+
+@pytest.mark.parametrize(
+    "seed, family",
+    enumerate(["gaussian", "gaussian-bandwidth", "polynomial-2", "polynomial-3"]),
+)
+def test_c_search_matches_the_public_search_battery(seed, family):
+    # 4 x 50 fixed-seed problems: W with 0-7 columns, n from 3 to 150
+    gen = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(gen.integers(3, 151))
+        x = gen.standard_normal(n)
+        z = gen.standard_normal(n)
+        w = gen.standard_normal((n, int(gen.integers(0, 8))))
+        if family == "gaussian":
+            spec = KernelSpec("gaussian")
+        elif family == "gaussian-bandwidth":
+            spec = KernelSpec("gaussian", bandwidth=float(gen.uniform(0.3, 3.0)))
+        else:
+            spec = KernelSpec("polynomial", degree=int(family[-1]))
+        _assert_is_the_public_search(minimize_c(x, z, w, spec), x, z, w, spec)
+
+
+def test_conditional_dependence_leaves_the_triple_unchanged(gen):
+    u, v, w = gen.standard_normal((3, 15, 2))
+    triple = GramTriple.from_data(u, v, w, KernelSpec("gaussian"))
+    before = [k.copy() for k in (triple.k_u, triple.k_v, triple.k_w)]
+    first = conditional_dependence(triple)
+    assert conditional_dependence(triple) == first
+    for k, kept in zip((triple.k_u, triple.k_v, triple.k_w), before):
+        np.testing.assert_array_equal(k, kept)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec("gaussian"), KernelSpec("polynomial", degree=3)],
+    ids=["gaussian", "polynomial"],
+)
+def test_objective_halves_are_the_kernel_grams(gen, spec):
+    n = 30
+    x = gen.standard_normal(n)
+    z = gen.standard_normal(n)
+    objective = kernelmeasure._Objective(
+        x, z, gen.standard_normal((n, 2)), spec, SearchConfig()
     )
-    assert res.objective_at_c_star == public * public
+    s = objective.spec
+    for c in np.linspace(0.0, objective.c_max, 7):
+        for u, k in zip((x + c * z, x - c * z), objective.halves(c)):
+            ref = gram_matrix(u, s)
+            np.testing.assert_array_equal(k, k.T)
+            if spec.family == "gaussian":
+                np.testing.assert_array_equal(np.diag(k), 1.0)
+                # gram_matrix forms (u_i - u_k)**2 as u_i**2 + u_k**2 -
+                # 2 u_i u_k, whose rounding grows with max u**2 / (2 h**2)
+                exponent = float(np.max(u * u)) / (2.0 * s.bandwidth**2)
+                eps = np.finfo(float).eps
+                atol = max(1e-14, 8.0 * eps * exponent)
+                np.testing.assert_allclose(k, ref, rtol=0, atol=atol)
+            else:
+                # the same arithmetic as the public Gram
+                np.testing.assert_array_equal(k, ref)
+
+
+@pytest.mark.parametrize(
+    "spec, held",
+    [(KernelSpec("gaussian"), 5), (KernelSpec("polynomial", degree=2), 3)],
+    ids=["gaussian", "polynomial"],
+)
+def test_c_search_memory_is_its_held_arrays(gen, spec, held):
+    # The objective holds K_W and two half buffers, plus the scaled
+    # differences of x and z for the gaussian family: 5 or 3 n x n
+    # arrays (40 and 24 MB at n = 1000), and an evaluation allocates no
+    # further one.
+    n = 1000
+    x = gen.standard_normal(n)
+    z = gen.standard_normal(n)
+    w = gen.standard_normal((n, 3))
+    tracemalloc.start()
+    try:
+        minimize_c(x, z, w, spec, SearchConfig(bracket_points=3, tol_factor=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (held + 0.5) * n * n * 8
 
 
 def test_search_config_validation():

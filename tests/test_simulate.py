@@ -360,18 +360,22 @@ class TestRunBenchmark:
             )
 
     def test_per_rep_failures_counted(self):
-        # screening needs six rows, so every repetition fails
+        # training diverges, so every repetition fails
         result = run_benchmark(
-            DesignSpec(5, 4, "identity"),
+            DesignSpec(30, 4, "identity"),
             ModelSpec(kind="linear", k_signals=1),
-            method="s_sngm",
+            method="sngm",
             q=0.2,
             reps=3,
             rng=RngSeed(0),
+            net=NetConfig(
+                hidden_sizes=(8,), activation="relu", epochs=20,
+                batch_size=16, learning_rate=1e8,
+            ),
         )
         assert result.rows == ()
         assert len(result.failures) == 3
-        assert all("InvalidDataError" in msg for _, msg in result.failures)
+        assert all("TrainingError" in msg for _, msg in result.failures)
         assert math.isnan(result.mean_fdp)
 
     def test_bad_arguments_rejected(self):
@@ -381,3 +385,8 @@ class TestRunBenchmark:
             run_benchmark(design, model, method="lasso")
         with pytest.raises(ConfigurationError):
             run_benchmark(design, model, reps=0)
+        # mirroring needs three rows, screening six
+        with pytest.raises(ConfigurationError, match="at least 3 rows"):
+            run_benchmark(DesignSpec(2, 4, "identity"), model, method="ingm")
+        with pytest.raises(ConfigurationError, match="at least 6 rows"):
+            run_benchmark(DesignSpec(5, 4, "identity"), model, method="s_ingm")
