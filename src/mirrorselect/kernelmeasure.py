@@ -128,6 +128,26 @@ def _resolved(spec: KernelSpec, block) -> KernelSpec:
     return spec
 
 
+def _int_power(k: np.ndarray, degree: int, scratch=None) -> np.ndarray:
+    """``k ** degree`` in place, for an integer degree >= 1, by binary
+    powering instead of libm ``pow``.  A degree that is not a power of
+    two keeps a copy of k in ``scratch`` (allocated when None).
+
+    Each product rounds once, so an entry lies within degree * eps / 2
+    relative of ``k ** degree``; degree 2 is bitwise ``k ** 2``, and at
+    degree 3 about a quarter of the entries differ, by one ulp.
+    """
+    if degree & (degree - 1):
+        if scratch is None:
+            scratch = np.empty_like(k)
+        np.copyto(scratch, k)
+    for bit in bin(degree)[3:]:
+        np.multiply(k, k, out=k)
+        if bit == "1":
+            np.multiply(k, scratch, out=k)
+    return k
+
+
 def _gram(block: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Exactly symmetric Gram matrix of a finite 2-d block with at least
     one column, under a spec whose gaussian bandwidth is resolved."""
@@ -137,7 +157,7 @@ def _gram(block: np.ndarray, spec: KernelSpec) -> np.ndarray:
         bw = spec.bandwidth
         k = np.exp(_pairwise_sq_dists(block) / (-2.0 * bw * bw))
     else:
-        k = (block @ block.T + spec.offset) ** spec.degree
+        k = _int_power(block @ block.T + spec.offset, spec.degree)
     return (k + k.T) / 2.0
 
 
@@ -418,9 +438,11 @@ class _Objective:
     x_i - x_k and z_i - z_k (scaled by 1 / (sqrt(2) h), h resolved from
     x), so that K_U = exp(-(dx + c dz)**2) and K_V = exp(-(dx - c dz)**2);
     for the polynomial family it is x and z themselves.  The object also
-    owns two n x n buffers.  A call overwrites them with K_U and K_V
-    (``halves``), centers them in place (``_dependence``), and validates
-    nothing; the held differences and K_W are only read.
+    owns two n x n buffers (and a third, scratch for the power, for a
+    polynomial degree that is not a power of two).  A call overwrites
+    them with K_U and K_V (``halves``), centers them in place
+    (``_dependence``), and validates nothing; the held differences and
+    K_W are only read.
     """
 
     def __init__(self, x, z, w_block, spec: KernelSpec, search: SearchConfig):
@@ -441,6 +463,12 @@ class _Objective:
         self.z = z
         self.k_u = np.empty((n, n))
         self.k_v = np.empty((n, n))
+        degree = self.spec.degree
+        self.scratch = (
+            np.empty((n, n))
+            if self.spec.family == "polynomial" and degree & (degree - 1)
+            else None
+        )
 
     def halves(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """K_U and K_V at scale c, written into the held buffers.  Both are
@@ -459,7 +487,7 @@ class _Objective:
             for k, row in ((k_u, self.x + c * self.z), (k_v, self.x - c * self.z)):
                 np.multiply.outer(row, row, out=k)
                 k += self.spec.offset
-                k **= self.spec.degree
+                _int_power(k, self.spec.degree, self.scratch)
         return k_u, k_v
 
     def __call__(self, c: float) -> float:

@@ -214,7 +214,8 @@ def _forward(a, weights, biases, act) -> list[np.ndarray]:
 # finite-loss check below reports it as a TrainingError instead.
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
-    """Minibatch SGD on a stack of nets; net i sees only ``xs[i]``.
+    """Minibatch SGD on a stack of nets; net i sees only ``xs[i]`` and
+    ``ys[i]``.
 
     Parameters are stacked along a leading axis: weights (g, d_in, d_out),
     biases (g, 1, d_out).  Each slice goes through the same arithmetic in
@@ -254,7 +255,7 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
                 acts = _forward(xs[rows, idx], weights, biases, act)
                 # d_s: loss gradient at the pre-activations of layer t + 1
                 d_s = acts.pop()
-                d_s[:, :, 0] -= ys[idx]
+                d_s[:, :, 0] -= ys[rows, idx]
                 losses += np.einsum("gbo,gbo->g", d_s, d_s)
                 d_s *= 2.0 / idx.shape[1]
                 for t in range(len(weights) - 1, -1, -1):
@@ -284,6 +285,7 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
         if not keep.size:
             return outcomes
         xs = xs[keep]
+        ys = ys[keep]
         weights = [w[keep] for w in weights]
         biases = [b[keep] for b in biases]
         gens = [gens[slot] for slot in keep]
@@ -304,13 +306,16 @@ def train_many(
     seeds,
     paired_columns=None,
 ) -> list:
-    """Fit k same-shape nets that share targets and hyper-parameters.
+    """Fit k same-shape nets that share hyper-parameters.
 
     Net i trains on the i-th of the k matrices that ``designs`` yields,
     draws its initial weights and epoch permutations from ``seeds[i]``
     (``config.seed`` is not used) and shares scales across the column
-    pairs in ``paired_columns[i]``.  Each net comes out bitwise equal to
-    ``train`` fitting it alone.
+    pairs in ``paired_columns[i]``.  ``targets`` is one vector of n
+    values that every net fits, or a (k, n) array whose row i net i
+    fits; each net standardizes its own targets.  Each net comes out
+    bitwise equal to ``train`` fitting it alone, whatever is stacked
+    beside it.
 
     The nets are trained stacked, in groups whose designs and full-data
     activations fit a fixed memory budget.  ``designs`` is consumed one
@@ -328,15 +333,30 @@ def train_many(
         raise ConfigurationError(
             f"got {len(pairs)} paired-column lists for {k} nets"
         )
-    y = np.asarray(targets, dtype=float).reshape(-1)
+    y = np.asarray(targets, dtype=float)
+    if y.ndim == 1:
+        y = y[None]
+    if y.ndim != 2 or y.shape[0] not in (1, k):
+        raise ConfigurationError(
+            f"targets must be one vector or one row per net, got shape "
+            f"{np.shape(targets)} for {k} nets"
+        )
     if not np.all(np.isfinite(y)):
         raise InvalidDataError("training data contains non-finite values")
-    n = y.shape[0]
-    y_mean = float(y.mean())
-    y_scale = float(y.std())
-    if y_scale < _SCALE_FLOOR:
-        y_scale = 1.0
-    ys = (y - y_mean) / y_scale
+    n = y.shape[1]
+    y_scalers = []
+    for row in y:
+        y_mean = float(row.mean())
+        y_scale = float(row.std())
+        if y_scale < _SCALE_FLOOR:
+            y_scale = 1.0
+        y_scalers.append((y_mean, y_scale))
+    # Shared targets stay one row, broadcast to every net without a copy.
+    ys = np.broadcast_to(
+        np.stack([(row - m) / s for row, (m, s) in zip(y, y_scalers)]), (k, n)
+    )
+    if len(y_scalers) == 1:
+        y_scalers *= k
 
     prepared = (_standardize(x, n, config, p) for x, p in zip(designs, pairs))
     results = []
@@ -362,8 +382,9 @@ def train_many(
             scalers.append((mean, scale))
         if len(scalers) < g:
             break
-        seeds_g = seeds[len(results) : len(results) + g]
-        for fit, (mean, scale) in zip(_fit_stack(stack, ys, seeds_g, sizes, config), scalers):
+        group = slice(len(results), len(results) + g)
+        fits = _fit_stack(stack, ys[group], seeds[group], sizes, config)
+        for fit, (mean, scale), (y_mean, y_scale) in zip(fits, scalers, y_scalers[group]):
             if isinstance(fit, TrainingError):
                 results.append(fit)
                 continue

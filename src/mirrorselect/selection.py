@@ -26,12 +26,15 @@ a held-out third of the rows.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigurationError, InvalidDataError, TrainingError
+from .errors import ConfigurationError, InvalidDataError, MirrorSelectError, TrainingError
 from .kernelmeasure import KernelSpec
 from .mirror import make_all_mirrors
 from .neuralnet import NetConfig, path_importance, train, train_many
@@ -189,18 +192,86 @@ def default_m_keep(n: int, p: int) -> int:
     return max(1, min(n // 2, p))
 
 
-def screen(
-    dataset: Dataset,
-    config: NetConfig = NetConfig(),
-    m_keep: int | None = None,
-    rng: RngSeed = RngSeed(0),
-) -> ScreenResult:
-    """Rank features with a network fit on a random third of the rows and
-    keep the ``m_keep`` largest path importances (by magnitude).
 
-    The split rows must not be reused downstream; callers fit the
-    selection stage on the complement.
-    """
+class _Fits(NamedTuple):
+    """The nets one dataset asks for at a stage: ``designs`` yields one
+    matrix of ``shape`` per seed, each fitted to ``targets``."""
+
+    shape: tuple[int, int]
+    designs: Iterable
+    targets: np.ndarray
+    seeds: list[RngSeed]
+    pairs: list
+
+
+def _fit_each(requests, config: NetConfig) -> list:
+    """Fit every request's nets with one ``train_many`` call per design
+    shape, so nets of different datasets train stacked.  Returns, per
+    request, its nets' TrainedNet or TrainingError entries; each net is
+    bitwise its lone fit."""
+    out = [None] * len(requests)
+    by_shape = {}
+    for i, request in enumerate(requests):
+        by_shape.setdefault(request.shape, []).append(i)
+    for (n, _), members in by_shape.items():
+        group = [requests[i] for i in members]
+        counts = [len(request.seeds) for request in group]
+        designs = chain.from_iterable(request.designs for request in group)
+        seeds = [seed for request in group for seed in request.seeds]
+        pairs = [pair for request in group for pair in request.pairs]
+        config_n = replace(config, batch_size=min(config.batch_size, n))
+        if len(seeds) == 1:
+            # A lone net goes through ``train``, train_many's one-net
+            # case, so a traced one-dataset run shows it as a train span.
+            lone = replace(config_n, seed=seeds[0])
+            try:
+                nets = [train(next(designs), group[0].targets, lone, paired_columns=pairs[0])]
+            except TrainingError as err:
+                nets = [err]
+        else:
+            targets = (
+                group[0].targets
+                if len(group) == 1
+                else np.repeat([request.targets for request in group], counts, axis=0)
+            )
+            nets = train_many(designs, targets, config_n, seeds, pairs)
+        for i, start, count in zip(members, accumulate([0, *counts]), counts):
+            out[i] = nets[start : start + count]
+    return out
+
+
+def _drive(steps, config: NetConfig) -> list:
+    """Run per-dataset pipelines in lockstep.  Each step generator yields
+    a _Fits whenever it needs nets; every round, the requests of all
+    live generators are fitted together (``_fit_each``) and each is sent
+    its own nets.  Returns, per generator, its return value or the
+    MirrorSelectError it raised; a slot that holds an error already
+    passes through."""
+    outcomes = list(steps)
+    sends = {i: None for i, s in enumerate(steps) if not isinstance(s, MirrorSelectError)}
+    while sends:
+        requests = {}
+        for i, nets in sends.items():
+            try:
+                requests[i] = steps[i].send(nets)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except MirrorSelectError as err:
+                outcomes[i] = err
+        sends = dict(zip(requests, _fit_each(list(requests.values()), config)))
+    return outcomes
+
+
+def _one(outcomes):
+    """The outcome of a one-dataset run, raised if it is an error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, MirrorSelectError):
+        raise outcome
+    return outcome
+
+
+def _screen_steps(dataset: Dataset, m_keep, rng: RngSeed):
+    """``screen`` as a step generator: it yields its one fit."""
     n, p = dataset.n, dataset.p
     if n < 6:
         raise InvalidDataError(f"screening needs at least 6 rows, got {n}")
@@ -215,44 +286,59 @@ def screen(
         rng.child(0).generator().choice(n, size=n_split, replace=False)
     )
     sub = dataset.take_rows(split_rows)
-    net_config = replace(
-        config,
-        seed=rng.child(1),
-        batch_size=min(config.batch_size, sub.n),
-    )
-    net = train(sub.x, sub.y, net_config)
+    (net,) = yield _Fits(sub.x.shape, [sub.x], sub.y, [rng.child(1)], [None])
+    if isinstance(net, TrainingError):
+        raise net
     importances = path_importance(net).values
     order = np.argsort(-np.abs(importances), kind="stable")
     kept = tuple(sorted(int(j) for j in order[:m_keep]))
     return ScreenResult(kept, importances, split_rows)
 
 
-def _score_joint(mirrors, working, net, rng):
+def screen(
+    dataset: Dataset,
+    config: NetConfig = NetConfig(),
+    m_keep: int | None = None,
+    rng: RngSeed = RngSeed(0),
+) -> ScreenResult:
+    """Rank features with a network fit on a random third of the rows and
+    keep the ``m_keep`` largest path importances (by magnitude).
+
+    The split rows must not be reused downstream; callers fit the
+    selection stage on the complement.
+    """
+    return _one(_drive([_screen_steps(dataset, m_keep, rng)], config))
+
+
+def _score_joint(mirrors, working, rng):
     """One network on all 2m interleaved half-columns; a training failure
     aborts the run."""
     inputs = np.column_stack(
         [half for pair in mirrors for half in (pair.x_plus, pair.x_minus)]
     )
     paired = [(2 * i, 2 * i + 1) for i in range(len(mirrors))]
-    trained = train(inputs, working.y, replace(net, seed=rng), paired_columns=paired)
+    (trained,) = yield _Fits(inputs.shape, [inputs], working.y, [rng], [paired])
+    if isinstance(trained, TrainingError):
+        raise trained
     importances = path_importance(trained).values
     return importances[0::2], importances[1::2], {}
 
 
-def _score_individual(mirrors, working, net, rng):
+def _score_individual(mirrors, working, rng):
     """One network per feature, with only that feature's pair in place of
-    its column.  Failed nets are returned by position, with importances 0
-    (so their statistic is 0)."""
+    its column; the designs are built as they are trained.  Failed nets
+    are returned by position, with importances 0 (so their statistic is
+    0)."""
     designs = (
         np.column_stack(
             [working.x[:, :i], pair.x_plus, pair.x_minus, working.x[:, i + 1 :]]
         )
         for i, pair in enumerate(mirrors)
     )
-    nets = train_many(
+    nets = yield _Fits(
+        (working.n, working.p + 1),
         designs,
         working.y,
-        net,
         [rng.named_child(pair.name) for pair in mirrors],
         [[(i, i + 1)] for i in range(len(mirrors))],
     )
@@ -269,13 +355,15 @@ def _score_individual(mirrors, working, net, rng):
     return l_plus, l_minus, failures
 
 
-def _run(method, score, dataset, q, spec, net, rng, screen_opts) -> SelectionResult:
-    """The one selection pipeline: drop constant columns, optionally
-    screen, mirror, score the pairs with ``score``, threshold."""
-    t0 = time.perf_counter()
+_SCORERS = {"sngm": _score_joint, "ingm": _score_individual}
+
+
+def _select_steps(method, score, dataset, q, spec, rng, screen_opts):
+    """One dataset's way through the pipeline, as a step generator: drop
+    constant columns, optionally screen, mirror, score the pairs with
+    ``score``, threshold.  Returns its SelectionResult."""
     if not isinstance(dataset, Dataset):
         raise InvalidDataError("expected a Dataset")
-    q = _check_q(q)
     p = dataset.p
     constant = dataset.constant_columns()
     active = [j for j in range(p) if not constant[j]]
@@ -287,8 +375,8 @@ def _run(method, score, dataset, q, spec, net, rng, screen_opts) -> SelectionRes
     screened_out = np.zeros(p, dtype=bool)
     if screen_opts is not None:
         method = "s_" + method
-        screen_result = screen(
-            working, net, screen_opts.m_keep, rng.child(_STREAM_SCREEN)
+        screen_result = yield from _screen_steps(
+            working, screen_opts.m_keep, rng.child(_STREAM_SCREEN)
         )
         kept_local = set(screen_result.kept)
         dropped = [active[i] for i in range(len(active)) if i not in kept_local]
@@ -298,9 +386,8 @@ def _run(method, score, dataset, q, spec, net, rng, screen_opts) -> SelectionRes
         active = [j for j in active if not screened_out[j]]
 
     mirrors = make_all_mirrors(working, spec, rng.child(_STREAM_MIRROR))
-    net = replace(net, batch_size=min(net.batch_size, working.n))
-    l_plus_active, l_minus_active, failures = score(
-        mirrors, working, net, rng.child(_STREAM_TRAIN)
+    l_plus_active, l_minus_active, failures = yield from score(
+        mirrors, working, rng.child(_STREAM_TRAIN)
     )
     failure_reasons = {}
     for i, err in failures.items():
@@ -342,8 +429,38 @@ def _run(method, score, dataset, q, spec, net, rng, screen_opts) -> SelectionRes
         curve=fdp_curve(m),
         seed=rng,
         screen=screen_result,
-        elapsed_s=time.perf_counter() - t0,
+        elapsed_s=0.0,
     )
+
+
+def _run(method, datasets, q, spec, net, rngs, screen_opts) -> list:
+    """The one selection pipeline, over a list of datasets with one seed
+    stream each, by ``method`` ("sngm" or "ingm").
+
+    Each dataset goes through ``_select_steps`` alone, except that every
+    stage's fits of all datasets still running are made together, one
+    ``train_many`` call per design shape.  Returns, per dataset, the
+    SelectionResult or the MirrorSelectError that running it alone
+    gives, bitwise: no dataset's result depends on the others.  A
+    dataset that fails drops out of the later stages, and a slot that
+    already holds an error passes through.  Each result's ``elapsed_s``
+    is the call's wall time shared equally among the datasets.
+    """
+    t0 = time.perf_counter()
+    q = _check_q(q)
+    score = _SCORERS[method]
+    steps = [
+        d
+        if isinstance(d, MirrorSelectError)
+        else _select_steps(method, score, d, q, spec, rng, screen_opts)
+        for d, rng in zip(datasets, rngs, strict=True)
+    ]
+    results = _drive(steps, net)
+    share = (time.perf_counter() - t0) / max(len(results), 1)
+    return [
+        replace(r, elapsed_s=share) if isinstance(r, SelectionResult) else r
+        for r in results
+    ]
 
 
 def run_sngm(
@@ -357,7 +474,7 @@ def run_sngm(
     """Joint pipeline: mirror every feature, then fit one network on all
     2m interleaved half-columns and read both importances per feature
     from its input layer.  A training failure aborts the run."""
-    return _run("sngm", _score_joint, dataset, q, spec, net, rng, screen_opts)
+    return _one(_run("sngm", [dataset], q, spec, net, [rng], screen_opts))
 
 
 def run_ingm(
@@ -373,4 +490,4 @@ def run_ingm(
 
     A feature whose network fails to train is recorded and scored zero;
     the whole run aborts if more than a tenth of the features fail."""
-    return _run("ingm", _score_individual, dataset, q, spec, net, rng, screen_opts)
+    return _one(_run("ingm", [dataset], q, spec, net, [rng], screen_opts))

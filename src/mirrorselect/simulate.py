@@ -14,6 +14,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -22,9 +23,12 @@ from ._parallel import parallel_map
 from .dataset import Dataset
 from .errors import ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError
 from .kernelmeasure import KernelSpec
-from .neuralnet import NetConfig
+from .neuralnet import _GROUP_BYTES, NetConfig
 from .rng import RngSeed
-from .selection import ScreenOptions, _check_q, run_ingm, run_sngm
+
+# ``run_sngm`` and ``run_ingm`` are not called here; they stay names of
+# this module because perfbench's tracer patches them here.
+from .selection import ScreenOptions, _check_q, _run, run_ingm, run_sngm  # noqa: F401
 
 _STRUCTURES = ("identity", "toeplitz_pc", "constant_pc")
 
@@ -262,7 +266,9 @@ def roc_curve(scores, truth) -> RocCurve:
 
 @dataclass(frozen=True)
 class RepRecord:
-    """One benchmark repetition."""
+    """One benchmark repetition.  ``runtime_ms`` is the wall time of the
+    rep's chunk (data draws, the stacked pipeline) shared equally among
+    the chunk's reps."""
 
     rep: int
     seed_label: str
@@ -298,8 +304,19 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _run_one_rep(
-    rep: int,
+def _chunks(reps: int, threads: int, rep_bytes: int) -> list[range]:
+    """Rep indices cut into consecutive chunks of near-equal size, one
+    per worker per round, with as few rounds as keep each chunk's
+    ``rep_bytes`` per rep within the training group budget.  Chunk sizes
+    therefore do not grow with ``reps``."""
+    cap = max(1, _GROUP_BYTES // rep_bytes)
+    count = threads * -(-reps // (threads * cap))
+    size = -(-reps // count)
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+
+
+def _run_chunk(
+    reps: range,
     design: DesignSpec,
     model: ModelSpec,
     method: str,
@@ -309,31 +326,40 @@ def _run_one_rep(
     net: NetConfig,
     screen_opts: ScreenOptions | None,
 ):
-    rep_rng = rng.child(rep)
+    """Draw each rep's data under its own seeds, then select on all of
+    them with one pipeline call.  Returns (rep, record, error) per rep."""
     start = time.perf_counter()
-    try:
-        x = sample_design(design, rep_rng.child(0))
-        sample = sample_response(x, model, rep_rng.child(1))
-        dataset = Dataset(x, sample.y, truth=sample.truth)
-        sel_rng = rep_rng.child(2)
-        runner = run_sngm if method in ("sngm", "s_sngm") else run_ingm
-        opts = screen_opts if method.startswith("s_") else None
-        result = runner(dataset, q, spec=spec, net=net, rng=sel_rng, screen_opts=opts)
-        metrics = evaluate(result.selected, sample.truth, design.p)
-    except MirrorSelectError as err:
-        return rep, None, f"{type(err).__name__}: {err}"
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    record = RepRecord(
-        rep=rep,
-        seed_label=f"{sel_rng.seed}:{sel_rng.stream}",
-        fdp=metrics.fdp,
-        power=metrics.power,
-        fpr=metrics.fpr,
-        threshold=result.threshold,
-        n_selected=metrics.selected_count,
-        runtime_ms=runtime_ms,
-    )
-    return rep, record, None
+    rep_rngs = [rng.child(rep) for rep in reps]
+    datasets = []
+    for rep_rng in rep_rngs:
+        try:
+            x = sample_design(design, rep_rng.child(0))
+            sample = sample_response(x, model, rep_rng.child(1))
+            datasets.append(Dataset(x, sample.y, truth=sample.truth))
+        except MirrorSelectError as err:
+            datasets.append(err)
+    sel_rngs = [rep_rng.child(2) for rep_rng in rep_rngs]
+    opts = screen_opts if method.startswith("s_") else None
+    results = _run(method.removeprefix("s_"), datasets, q, spec, net, sel_rngs, opts)
+    runtime_ms = (time.perf_counter() - start) * 1000.0 / len(reps)
+    outcomes = []
+    for rep, sel_rng, dataset, result in zip(reps, sel_rngs, datasets, results):
+        if isinstance(result, MirrorSelectError):
+            outcomes.append((rep, None, f"{type(result).__name__}: {result}"))
+            continue
+        metrics = evaluate(result.selected, dataset.truth, design.p)
+        record = RepRecord(
+            rep=rep,
+            seed_label=f"{sel_rng.seed}:{sel_rng.stream}",
+            fdp=metrics.fdp,
+            power=metrics.power,
+            fpr=metrics.fpr,
+            threshold=result.threshold,
+            n_selected=metrics.selected_count,
+            runtime_ms=runtime_ms,
+        )
+        outcomes.append((rep, record, None))
+    return outcomes
 
 
 def run_benchmark(
@@ -350,8 +376,15 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Repeat draw-fit-select-score ``reps`` times and aggregate.
 
-    Every repetition derives its own seed from ``rng`` and its index, so
-    results do not depend on ``threads`` or on execution order.  For the
+    Every repetition derives its own seeds from ``rng`` and its index.
+    The reps are cut into chunks (about one per worker, capped so a
+    chunk's designs fit the training memory budget), and each chunk's
+    reps go through the selection pipeline together, their nets fitted
+    stacked; ``parallel_map`` spreads the chunks over ``threads``
+    processes.  Each rep's record equals that of selecting on its data
+    alone, so results do not depend on ``threads``, on the chunking or
+    on execution order; only ``runtime_ms`` does.  A rep that fails is
+    listed in ``failures`` and leaves the other reps unchanged.  For the
     screening methods, ``screen_opts=None`` enables screening with
     defaults.
     """
@@ -376,7 +409,7 @@ def run_benchmark(
                 f"m_keep must lie in [1, {design.p}], got {screen_opts.m_keep}"
             )
     worker = functools.partial(
-        _run_one_rep,
+        _run_chunk,
         design=design,
         model=model,
         method=method,
@@ -386,10 +419,11 @@ def run_benchmark(
         net=net,
         screen_opts=screen_opts,
     )
-    outcomes = parallel_map(worker, range(reps), threads)
+    # a rep's drawn data is n x (p + 1) float64 values
+    chunks = _chunks(reps, threads, 8 * design.n * (design.p + 1))
     rows = []
     failures = []
-    for rep, record, error in outcomes:
+    for rep, record, error in chain.from_iterable(parallel_map(worker, chunks, threads)):
         if record is not None:
             rows.append(record)
         else:

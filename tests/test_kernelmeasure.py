@@ -552,6 +552,30 @@ def test_objective_halves_are_the_kernel_grams(gen, spec):
                 np.testing.assert_array_equal(k, ref)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 7, 12])
+def test_polynomial_halves_match_libm_pow_within_stated_tolerance(gen, degree):
+    # binary powering rounds once per product: within degree * eps / 2
+    # relative of libm pow, and bitwise pow for degree 1 and 2
+    n = 40
+    x = gen.standard_normal(n)
+    z = gen.standard_normal(n)
+    spec = KernelSpec("polynomial", degree=degree, offset=1.0)
+    objective = kernelmeasure._Objective(x, z, gen.standard_normal((n, 2)), spec, SearchConfig())
+    rtol = degree * np.finfo(float).eps / 2.0
+    for c in np.linspace(0.0, objective.c_max, 5):
+        for u, k in zip((x + c * z, x - c * z), objective.halves(c)):
+            ref = (np.multiply.outer(u, u) + 1.0) ** degree
+            if degree <= 2:
+                np.testing.assert_array_equal(k, ref)
+            else:
+                np.testing.assert_allclose(k, ref, rtol=rtol, atol=0)
+    if degree == 3:
+        # about a quarter of the entries differ, each by one ulp
+        ulps = np.abs(k - ref) / np.spacing(np.abs(ref))
+        assert ulps.max() <= 1.0
+        assert 0.1 < np.mean(ulps > 0) < 0.4
+
+
 @pytest.mark.parametrize(
     "spec, held",
     [(KernelSpec("gaussian"), 5), (KernelSpec("polynomial", degree=2), 3)],

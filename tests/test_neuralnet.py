@@ -218,11 +218,13 @@ def test_predictions_on_raw_scale(gen):
 
 
 def _fit_alone(designs, y, cfg, seeds, pairs):
-    """Per-net ``train``, with a diverging net's error in place of a net."""
+    """Per-net ``train``, with a diverging net's error in place of a net.
+    ``y`` is shared, or 2-d with one row per net."""
+    ys = y if np.ndim(y) == 2 else [y] * len(seeds)
     out = []
-    for x, seed, pair in zip(designs, seeds, pairs):
+    for x, target, seed, pair in zip(designs, ys, seeds, pairs):
         try:
-            out.append(train(x, y, replace(cfg, seed=seed), paired_columns=pair))
+            out.append(train(x, target, replace(cfg, seed=seed), paired_columns=pair))
         except TrainingError as err:
             out.append(err)
     return out
@@ -275,9 +277,12 @@ def test_train_many_across_groups(gen, monkeypatch):
     pulled_per_group = []
     fit_stack = neuralnet._fit_stack
 
-    def recording_fit_stack(xs, *args):
+    target_row_strides = []
+
+    def recording_fit_stack(xs, ys, *args):
         pulled_per_group.append(len(pulled))
-        return fit_stack(xs, *args)
+        target_row_strides.append(ys.strides[0])
+        return fit_stack(xs, ys, *args)
 
     def lazily():
         for x in designs:
@@ -288,6 +293,8 @@ def test_train_many_across_groups(gen, monkeypatch):
     stacked = train_many(lazily(), y, cfg, seeds, pairs)
     # each group is trained before the next group's designs are built
     assert pulled_per_group == [2, 4, 6, 7]
+    # shared targets reach every group as a broadcast view, not copies
+    assert target_row_strides == [0, 0, 0, 0]
     _assert_identical(stacked, _fit_alone(designs, y, cfg, seeds, pairs))
 
 
@@ -308,6 +315,37 @@ def test_train_many_isolates_divergence(gen):
     _assert_identical(stacked, alone)
 
 
+def test_train_many_isolates_divergence_with_per_net_targets(gen):
+    # as above, each net fitting its own targets: a net leaving the stack
+    # takes its own row with it
+    n, d, k = 60, 4, 12
+    x = gen.standard_normal((n, d))
+    y = gen.standard_normal((k, n)) * gen.uniform(0.5, 4.0, (k, 1))
+    cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=30,
+                    batch_size=16, learning_rate=1.0)
+    seeds = [RngSeed(5, i) for i in range(k)]
+    stacked = train_many([x] * k, y, cfg, seeds)
+    alone = _fit_alone([x] * k, y, cfg, seeds, [None] * k)
+    failed = [isinstance(r, TrainingError) for r in alone]
+    assert 0 < sum(failed) < k
+    assert len({len(r.trace) for r in alone if isinstance(r, TrainingError)}) > 1
+    _assert_identical(stacked, alone)
+
+
+def test_train_many_per_net_targets(gen, monkeypatch):
+    # seven nets over four groups, each fitting its own targets on its own
+    # scale: every net must be its lone fit on its own row
+    designs, _, seeds, pairs = _stack_problem(gen, 7)
+    ys = np.stack([x[:, 1] * s + gen.standard_normal(70) for x, s in zip(designs, range(1, 8))])
+    cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32,
+                    learning_rate=1e-2)
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", 2 * 8 * 70 * (5 + 6 + 3 + 1))
+    stacked = train_many(iter(designs), ys, cfg, seeds, pairs)
+    alone = _fit_alone(designs, ys, cfg, seeds, pairs)
+    _assert_identical(stacked, alone)
+    assert len({net.target_scale for net in stacked}) == 7
+
+
 def test_train_many_validation(gen):
     x = gen.standard_normal((40, 3))
     cfg = NetConfig(hidden_sizes=(4,), epochs=1, batch_size=10)
@@ -318,6 +356,11 @@ def test_train_many_validation(gen):
         train_many([x], x[:, 0], cfg, seeds)
     with pytest.raises(InvalidDataError):
         train_many([x, x[:, :2]], x[:, 0], cfg, seeds)
+    # targets: one vector, or one row per net
+    with pytest.raises(ConfigurationError, match="one row per net"):
+        train_many([x, x], x[:, :3].T, cfg, seeds)
+    with pytest.raises(InvalidDataError):
+        train_many([x, x], np.stack([x[:, 0], np.full(40, np.nan)]), cfg, seeds)
 
 
 # ------------------------------------------------------------- importances

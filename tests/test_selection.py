@@ -12,6 +12,7 @@ from mirrorselect import (
     Dataset,
     InvalidDataError,
     KernelSpec,
+    MirrorSelectError,
     NetConfig,
     RngSeed,
     ScreenOptions,
@@ -456,3 +457,101 @@ class TestScreenedPipelines:
         )
         assert res.method == "s_ingm"
         assert np.sum(res.screened_out) == 6 - 3
+
+
+class TestStackedPipeline:
+    """``selection._run`` over several datasets at once: every fit of a
+    stage goes through one ``train_many`` call per design shape, and each
+    dataset's outcome is bitwise its lone run's."""
+
+    @staticmethod
+    def _datasets():
+        gen = RngSeed(43).child(99).generator()
+
+        def draw(n, p):
+            x = gen.standard_normal((n, p))
+            return x, x[:, 0] - 2.0 * x[:, 1] + gen.standard_normal(n)
+
+        a, b, d, e = draw(80, 5), draw(80, 5), draw(60, 5), draw(80, 4)
+        # a constant column: once dropped, this design stacks with a and b
+        xc, yc = draw(80, 6)
+        xc[:, 2] = 1.5
+        return [
+            Dataset(*a),
+            Dataset(*b),
+            Dataset(xc, yc),
+            Dataset(*d),
+            Dataset(*e),
+            Dataset(np.ones((80, 3)), np.arange(80.0)),  # nothing to select
+        ]
+
+    @pytest.mark.parametrize("method", ["sngm", "ingm"])
+    @pytest.mark.parametrize("screen_opts", [None, ScreenOptions(m_keep=3)], ids=["", "s"])
+    def test_each_result_is_its_lone_run(self, method, screen_opts, monkeypatch):
+        datasets = self._datasets()
+        rngs = [RngSeed(7, i) for i in range(len(datasets))]
+        runner = run_sngm if method == "sngm" else run_ingm
+        calls = []  # nets fitted per training call
+        train, train_many = selection.train, selection.train_many
+
+        def recording_train(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        def recording_train_many(*args):
+            calls.append(len(args[3]))
+            return train_many(*args)
+
+        monkeypatch.setattr(selection, "train", recording_train)
+        monkeypatch.setattr(selection, "train_many", recording_train_many)
+        lone = []
+        for ds, rng in zip(datasets, rngs):
+            try:
+                lone.append(runner(ds, 0.2, LINEAR, FAST_NET, rng, screen_opts))
+            except MirrorSelectError as err:
+                lone.append(err)
+        lone_calls = calls[:]
+        calls.clear()
+        stacked = selection._run(method, datasets, 0.2, LINEAR, FAST_NET, rngs, screen_opts)
+        # the first three datasets share every stage's shapes, so each
+        # stage fits their nets in one call
+        assert len(calls) < len(lone_calls)
+        assert max(calls) >= 3 * max(lone_calls)
+
+        assert len(stacked) == len(lone)
+        for got, want in zip(stacked, lone):
+            assert type(got) is type(want)
+            if isinstance(want, MirrorSelectError):
+                assert str(got) == str(want)
+                continue
+            assert got.method == want.method
+            assert got.threshold == want.threshold
+            assert got.selected == want.selected
+            assert got.seed == want.seed
+            assert got.failure_reasons == want.failure_reasons
+            for field in ("m", "importance_plus", "importance_minus"):
+                assert np.array_equal(getattr(got.stats, field), getattr(want.stats, field))
+            for field in ("c_values", "constant", "screened_out"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert got.curve == want.curve
+        assert isinstance(stacked[-1], InvalidDataError)
+        assert bool(stacked[2].constant[2]) and stacked[2].c_values[2] == 0.0
+
+    def test_a_failing_dataset_leaves_the_others(self):
+        # at this learning rate the joint net of the second dataset
+        # diverges and the others train
+        datasets = self._datasets()[:3]
+        rngs = [RngSeed(7, i) for i in range(3)]
+        net = NetConfig(hidden_sizes=(8,), activation="relu", epochs=20,
+                        batch_size=16, learning_rate=0.5)
+        outcomes = selection._run("sngm", datasets, 0.2, LINEAR, net, rngs, None)
+        kinds = [type(o).__name__ for o in outcomes]
+        assert "TrainingError" in kinds and "SelectionResult" in kinds
+        for ds, rng, got in zip(datasets, rngs, outcomes):
+            try:
+                want = run_sngm(ds, 0.2, LINEAR, net, rng)
+            except TrainingError as err:
+                assert str(got) == str(err)
+                continue
+            assert np.array_equal(got.stats.m, want.stats.m)
+            assert got.selected == want.selected

@@ -2,6 +2,7 @@
 the benchmark driver."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from mirrorselect import (
     sample_design,
     sample_response,
 )
-from mirrorselect.simulate import LINKS
+from mirrorselect import Dataset, MirrorSelectError, _parallel, run_ingm, run_sngm
+from mirrorselect.neuralnet import _GROUP_BYTES
+from mirrorselect.simulate import LINKS, _chunks, _mean_se
 
 
 class TestPrecisionMatrix:
@@ -290,6 +293,50 @@ class TestRocCurve:
 
 BENCH_NULL_NET = NetConfig(hidden_sizes=(16, 8), epochs=60, learning_rate=5e-3)
 
+# relu nets on the edge of divergence: at this learning rate rep 5 of
+# STACK_CASE fails in every method but ingm, and the other reps complete
+EDGE_NET = NetConfig(hidden_sizes=(8,), activation="relu", epochs=20,
+                     batch_size=16, learning_rate=0.5)
+STACK_CASE = (DesignSpec(60, 5, "identity"), ModelSpec(kind="linear", k_signals=2, coef_sd=3.0))
+
+
+def _benchmark_fields(result):
+    """Every row field but ``runtime_ms``, the failures and the summary."""
+    rows = [{k: v for k, v in asdict(r).items() if k != "runtime_ms"} for r in result.rows]
+    summary = (result.mean_fdp, result.se_fdp, result.mean_power, result.se_power,
+               result.mean_fpr)
+    return rows, result.failures, summary
+
+
+def _lone_benchmark(design, model, method, q, reps, rng, net, screen_opts):
+    """``_benchmark_fields`` of a benchmark whose reps each select on
+    their own data with one ``run_sngm``/``run_ingm`` call."""
+    runner = run_sngm if method.endswith("sngm") else run_ingm
+    opts = screen_opts if method.startswith("s_") else None
+    rows, failures = [], []
+    for rep in range(reps):
+        rep_rng = rng.child(rep)
+        x = sample_design(design, rep_rng.child(0))
+        sample = sample_response(x, model, rep_rng.child(1))
+        sel_rng = rep_rng.child(2)
+        try:
+            result = runner(Dataset(x, sample.y), q, net=net, rng=sel_rng, screen_opts=opts)
+        except MirrorSelectError as err:
+            failures.append((rep, f"{type(err).__name__}: {err}"))
+            continue
+        metrics = evaluate(result.selected, sample.truth, design.p)
+        rows.append({
+            "rep": rep, "seed_label": f"{sel_rng.seed}:{sel_rng.stream}",
+            "fdp": metrics.fdp, "power": metrics.power, "fpr": metrics.fpr,
+            "threshold": result.threshold, "n_selected": metrics.selected_count,
+        })
+    summary = (
+        *_mean_se([r["fdp"] for r in rows]),
+        *_mean_se([r["power"] for r in rows]),
+        _mean_se([r["fpr"] for r in rows])[0],
+    )
+    return rows, tuple(failures), summary
+
 
 class TestRunBenchmark:
     def test_strong_signals(self):
@@ -344,20 +391,59 @@ class TestRunBenchmark:
         assert result.mean_fdp <= 0.3
 
     def test_thread_count_does_not_change_results(self):
+        # seven reps cut into uneven chunks: 7, then 4 + 3, then 3 + 3 + 1
         design = DesignSpec(80, 6, "identity")
         model = ModelSpec(kind="linear", k_signals=2, coef_sd=8.0)
         net = NetConfig(hidden_sizes=(8, 4), epochs=40, learning_rate=5e-3)
-        one = run_benchmark(design, model, "sngm", 0.2, 6, RngSeed(42), net=net)
-        two = run_benchmark(
-            design, model, "sngm", 0.2, 6, RngSeed(42), net=net, threads=2
+        runs = [
+            run_benchmark(design, model, "sngm", 0.2, 7, RngSeed(42), net=net, threads=t)
+            for t in (1, 2, 3)
+        ]
+        first = _benchmark_fields(runs[0])
+        assert len(first[0]) == 7
+        for other in runs[1:]:
+            assert _benchmark_fields(other) == first
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("method", ["sngm", "s_sngm", "ingm", "s_ingm"])
+    def test_stacked_reps_equal_lone_runs(self, method, threads):
+        design, model = STACK_CASE
+        opts = ScreenOptions(m_keep=3)
+        stacked = run_benchmark(design, model, method, 0.2, 6, RngSeed(3), net=EDGE_NET,
+                                screen_opts=opts, threads=threads)
+        lone = _lone_benchmark(design, model, method, 0.2, 6, RngSeed(3), EDGE_NET, opts)
+        assert _benchmark_fields(stacked) == lone
+        assert len(stacked.rows) >= 5
+
+    def test_failing_rep_leaves_its_chunk(self):
+        # one chunk of six reps; rep 5's joint net diverges
+        design, model = STACK_CASE
+        assert _chunks(6, 1, 8 * design.n * (design.p + 1)) == [range(6)]
+        result = run_benchmark(design, model, "sngm", 0.2, 6, RngSeed(3), net=EDGE_NET)
+        assert result.failures == (
+            (5, "TrainingError: loss became non-finite at epoch 5 "
+                "(learning rate 0.5 may be too large)"),
         )
-        for a, b in zip(one.rows, two.rows):
-            assert (a.rep, a.fdp, a.power, a.threshold) == (
-                b.rep,
-                b.fdp,
-                b.power,
-                b.threshold,
-            )
+        assert [r.rep for r in result.rows] == [0, 1, 2, 3, 4]
+        lone = _lone_benchmark(design, model, "sngm", 0.2, 6, RngSeed(3), EDGE_NET, None)
+        assert _benchmark_fields(result) == lone
+        assert all(r.runtime_ms > 0 for r in result.rows)
+
+    def test_chunk_sizes_bounded(self):
+        rep_bytes = 8 * 300 * 51
+        cap = _GROUP_BYTES // rep_bytes
+        assert cap >= 12
+        # the CLI benchmark's 24 reps on 2 workers: one chunk each
+        assert _chunks(24, 2, rep_bytes) == [range(12), range(12, 24)]
+        for threads in (1, 2, 3, 8):
+            for reps in (1, 7, 24, 100, 1000, 100_000):
+                chunks = _chunks(reps, threads, rep_bytes)
+                assert [rep for chunk in chunks for rep in chunk] == list(range(reps))
+                assert max(map(len, chunks)) <= cap
+                if reps <= threads * cap:
+                    assert len(chunks) <= threads
+        # a rep larger than the whole budget still runs, one per chunk
+        assert _chunks(3, 1, 10 * _GROUP_BYTES) == [range(1), range(1, 2), range(2, 3)]
 
     def test_per_rep_failures_counted(self):
         # training diverges, so every repetition fails
@@ -390,3 +476,27 @@ class TestRunBenchmark:
             run_benchmark(DesignSpec(2, 4, "identity"), model, method="ingm")
         with pytest.raises(ConfigurationError, match="at least 6 rows"):
             run_benchmark(DesignSpec(5, 4, "identity"), model, method="s_ingm")
+
+
+def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
+    # a recording stand-in for the process pool: it starts no process
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+    assert _parallel.parallel_map(abs, [-1, -2, 3], threads=64) == [1, 2, 3]
+    assert _parallel.parallel_map(abs, range(-5, 0), threads=2) == [5, 4, 3, 2, 1]
+    assert _parallel.parallel_map(abs, [-4], threads=8) == [4]
+    assert pools == [3, 2]
