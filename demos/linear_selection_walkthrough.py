@@ -23,7 +23,7 @@ def main():
 
     x = ms.sample_design(design, rng.child(0))
     sample = ms.sample_response(x, model, rng.child(1))
-    ds = Dataset(x, sample.y, truth=sample.truth)
+    ds = Dataset(x, sample.y)
 
     net = NetConfig(hidden_sizes=(32, 16), epochs=300, learning_rate=5e-3)
     result = run_sngm(ds, q=0.2, net=net, rng=rng.child(2))

@@ -43,7 +43,6 @@ from .kernelmeasure import (
 )
 from .mirror import MirrorPair, make_all_mirrors, make_mirror
 from .neuralnet import (
-    ImportanceVector,
     NetConfig,
     TrainedNet,
     default_hidden_sizes,
@@ -94,7 +93,6 @@ __all__ = [
     "DegeneratePerturbationError",
     "DesignSpec",
     "GramTriple",
-    "ImportanceVector",
     "InvalidDataError",
     "KernelSpec",
     "Metrics",

@@ -18,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy
@@ -252,15 +253,7 @@ def _cmd_select(args, out_dir: Path) -> None:
     if args.truth is not None:
         truth = load_truth(args.truth)
         metrics = evaluate(result.selected, truth, dataset.p)
-        write_json(
-            {
-                "fdp": metrics.fdp,
-                "power": metrics.power,
-                "fpr": metrics.fpr,
-                "selected_count": metrics.selected_count,
-            },
-            out_dir / "metrics.json",
-        )
+        write_json(asdict(metrics), out_dir / "metrics.json")
     print(
         f"selected {len(result.selected)} of {dataset.p} features "
         f"(method {result.method}, q {result.q})"
@@ -278,12 +271,7 @@ def _cmd_simulate(args, out_dir: Path) -> None:
         {
             "support": sorted(sample.truth),
             "beta": [float(b) for b in sample.beta],
-            "design": {
-                "n": design.n,
-                "p": design.p,
-                "structure": design.structure,
-                "rho": design.rho,
-            },
+            "design": asdict(design),
             "model": {
                 "kind": model.kind,
                 "link": model.link,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,15 +20,13 @@ def default_names(p: int) -> tuple[str, ...]:
 class Dataset:
     """Design matrix ``x`` of shape (n, p), response ``y`` of shape (n,).
 
-    ``truth`` optionally records the indices of the truly active features
-    (for simulated data).  Arrays are validated once at construction and
-    treated as immutable afterwards.
+    Arrays are validated once at construction and treated as immutable
+    afterwards.
     """
 
     x: np.ndarray
     y: np.ndarray
     names: tuple[str, ...] = ()
-    truth: frozenset[int] | None = None
     response_name: str = "y"
 
     def __post_init__(self):
@@ -56,18 +54,11 @@ class Dataset:
             )
         if len(set(names)) != len(names):
             raise InvalidDataError("column names must be unique")
-        truth = self.truth
-        if truth is not None:
-            truth = frozenset(int(j) for j in truth)
-            bad = [j for j in truth if not 0 <= j < x.shape[1]]
-            if bad:
-                raise InvalidDataError(f"truth indices out of range: {sorted(bad)}")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "truth", truth)
 
     @property
     def n(self) -> int:
@@ -83,12 +74,9 @@ class Dataset:
 
     def select_columns(self, cols) -> "Dataset":
         cols = [int(c) for c in cols]
-        names = tuple(self.names[c] for c in cols)
-        truth = None
-        if self.truth is not None:
-            pos = {c: i for i, c in enumerate(cols)}
-            truth = frozenset(pos[j] for j in self.truth if j in pos)
-        return Dataset(self.x[:, cols], self.y, names, truth, self.response_name)
+        return replace(
+            self, x=self.x[:, cols], names=tuple(self.names[c] for c in cols)
+        )
 
     def constant_columns(self) -> np.ndarray:
         """Boolean mask of columns with (numerically) zero variance."""

@@ -30,7 +30,7 @@ mirror construction alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,9 +84,6 @@ class KernelSpec:
                 f"polynomial offset must be finite and nonnegative, got {self.offset}"
             )
 
-    def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
-        return KernelSpec(self.family, bandwidth, self.degree, self.offset)
-
 
 def _as_block(data, label: str = "kernel input") -> np.ndarray:
     block = np.asarray(data, dtype=float)
@@ -124,7 +121,7 @@ def _resolved(spec: KernelSpec, block) -> KernelSpec:
     """``spec``, with a gaussian bandwidth left unset resolved by the
     median heuristic on ``block``."""
     if spec.family == "gaussian" and spec.bandwidth is None:
-        return spec.with_bandwidth(median_heuristic_bandwidth(block))
+        return replace(spec, bandwidth=median_heuristic_bandwidth(block))
     return spec
 
 
@@ -341,17 +338,14 @@ def _search_inputs(x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, z, w_block
 
 
-def _linear_closed_form(
-    x, z, w, w_abs, drop: int | None = None, center: bool = True
-) -> CMinimizationResult:
+def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizationResult:
     """``closed_form_c_linear`` on checked inputs, given |W| as ``w_abs``.
     The quartic's coefficients are inner products of W'x**2, W'z**2 and
     |W|'z**2 (squares entrywise); ``drop`` removes that column's entry
     from each, so a full design can stand in for W without a copy."""
     n = x.shape[0]
-    if center:
-        x = x - x.mean()
-        z = z - z.mean()
+    x = x - x.mean()
+    z = z - z.mean()
     x2 = x * x
     z2 = z * z
     products = (w.T @ x2, w.T @ z2, w_abs.T @ z2)
@@ -383,14 +377,13 @@ def _linear_closed_form(
     return CMinimizationResult(c, measure * measure, "closed_form", 0)
 
 
-def closed_form_c_linear(x, z, w=None, center: bool = True) -> CMinimizationResult:
+def closed_form_c_linear(x, z, w=None) -> CMinimizationResult:
     """Exact minimizer of the linear-kernel objective over c >= 0.
 
     ``x`` and ``z`` are single columns, ``w`` the remaining columns (may
-    be None or have zero columns).  With ``center=True`` (the default) x
-    and z are mean-centered first, which matches what the dependence
-    measure's centering does to linear Gram matrices; pass False when the
-    inputs are already centered.
+    be None or have zero columns).  x and z are mean-centered first,
+    which matches what the dependence measure's centering does to linear
+    Gram matrices.
 
     The objective is an even quartic a - 2 b c**2 + g c**4; its minimizer
     is sqrt(b/g) when b > 0 and 0 otherwise.  A vanishing denominator g
@@ -398,7 +391,7 @@ def closed_form_c_linear(x, z, w=None, center: bool = True) -> CMinimizationResu
     see, and raises DegeneratePerturbationError.
     """
     x, z, w_block = _search_inputs(x, z, w)
-    return _linear_closed_form(x, z, w_block, np.abs(w_block), center=center)
+    return _linear_closed_form(x, z, w_block, np.abs(w_block))
 
 
 def _golden_section(f, a: float, b: float, tol: float):

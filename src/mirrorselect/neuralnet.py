@@ -420,21 +420,7 @@ def train(
     return net
 
 
-@dataclass(frozen=True)
-class ImportanceVector:
-    """Per-input importance scores; ``kind`` names the measure."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def path_importance(net: TrainedNet) -> ImportanceVector:
+def path_importance(net: TrainedNet) -> np.ndarray:
     """Product of the weight matrices straight through the net.
 
     Entry j sums, over all input-to-output paths starting at input j, the
@@ -446,10 +432,10 @@ def path_importance(net: TrainedNet) -> ImportanceVector:
     chain = net.weights[-1]
     for t in range(len(net.weights) - 2, -1, -1):
         chain = net.weights[t] @ chain
-    return ImportanceVector(chain[:, 0], "path_product")
+    return chain[:, 0]
 
 
-def gradient_importance(net: TrainedNet, at_point) -> ImportanceVector:
+def gradient_importance(net: TrainedNet, at_point) -> np.ndarray:
     """Gradient of ``net.predict`` at one raw-scale input point.
 
     Exactly the derivative of the prediction, including the effect of the
@@ -475,4 +461,4 @@ def gradient_importance(net: TrainedNet, at_point) -> ImportanceVector:
     values = chain[:, 0] * net.target_scale
     if net.input_scale is not None:
         values = values / net.input_scale
-    return ImportanceVector(values, "gradient")
+    return values

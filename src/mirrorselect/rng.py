@@ -30,16 +30,6 @@ def name_stream(name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _limbs(value: int) -> tuple[int, ...]:
-    # SeedSequence spawn keys are sequences of uint32 words.
-    out = []
-    while True:
-        out.append(value & 0xFFFFFFFF)
-        value >>= 32
-        if value == 0:
-            return tuple(out)
-
-
 @dataclass(frozen=True)
 class RngSeed:
     """Addressable random stream: root entropy plus a stream index."""
@@ -75,7 +65,6 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=_limbs(self.stream)
-        )
+        # SeedSequence splits the stream into little-endian uint32 words.
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(seq)

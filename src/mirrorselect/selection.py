@@ -289,7 +289,7 @@ def _screen_steps(dataset: Dataset, m_keep, rng: RngSeed):
     (net,) = yield _Fits(sub.x.shape, [sub.x], sub.y, [rng.child(1)], [None])
     if isinstance(net, TrainingError):
         raise net
-    importances = path_importance(net).values
+    importances = path_importance(net)
     order = np.argsort(-np.abs(importances), kind="stable")
     kept = tuple(sorted(int(j) for j in order[:m_keep]))
     return ScreenResult(kept, importances, split_rows)
@@ -320,7 +320,7 @@ def _score_joint(mirrors, working, rng):
     (trained,) = yield _Fits(inputs.shape, [inputs], working.y, [rng], [paired])
     if isinstance(trained, TrainingError):
         raise trained
-    importances = path_importance(trained).values
+    importances = path_importance(trained)
     return importances[0::2], importances[1::2], {}
 
 
@@ -349,7 +349,7 @@ def _score_individual(mirrors, working, rng):
         if isinstance(trained, TrainingError):
             failures[i] = trained
             continue
-        importances = path_importance(trained).values
+        importances = path_importance(trained)
         l_plus[i] = importances[i]
         l_minus[i] = importances[i + 1]
     return l_plus, l_minus, failures

@@ -159,6 +159,16 @@ class ResponseSample:
     beta: np.ndarray
 
 
+def _check_model(model: ModelSpec, p: int) -> None:
+    """Raise ConfigurationError if ``model`` cannot be drawn over p features."""
+    if model.k_signals > p:
+        raise ConfigurationError(f"k_signals={model.k_signals} exceeds p={p}")
+    if model.support is not None and any(not 0 <= j < p for j in model.support):
+        raise ConfigurationError(f"support indices out of range for p={p}")
+    if model.coef_sd is None and p < 2:
+        raise ConfigurationError("default coefficient scale needs p >= 2")
+
+
 def sample_response(
     x: np.ndarray, model: ModelSpec, rng: RngSeed = RngSeed(0)
 ) -> ResponseSample:
@@ -166,12 +176,9 @@ def sample_response(
     if x.ndim != 2:
         raise InvalidDataError(f"design must be 2-d, got {x.ndim}-d")
     n, p = x.shape
-    if model.k_signals > p:
-        raise ConfigurationError(f"k_signals={model.k_signals} exceeds p={p}")
+    _check_model(model, p)
     gen = rng.generator()
     if model.support is not None:
-        if any(not 0 <= j < p for j in model.support):
-            raise ConfigurationError(f"support indices out of range for p={p}")
         support = model.support
     else:
         support = tuple(
@@ -229,6 +236,9 @@ class RocCurve:
 def roc_curve(scores, truth) -> RocCurve:
     """Threshold sweep of ``scores`` against the true support.
 
+    Each distinct score, from the highest down, selects the features
+    scoring at or above it; the curve runs from (0, 0) through those
+    selections, tallied from one sort, and its area is the trapezoid sum.
     The truth must be a nonempty proper subset of the features so both
     rates are well defined.
     """
@@ -247,21 +257,16 @@ def roc_curve(scores, truth) -> RocCurve:
         )
     is_true = np.zeros(p, dtype=bool)
     is_true[list(truth)] = True
-    n_pos = int(is_true.sum())
-    n_neg = p - n_pos
-    points = [(0.0, 0.0)]
-    for t in np.unique(scores)[::-1]:
-        sel = scores >= t
-        fpr = float((sel & ~is_true).sum()) / n_neg
-        tpr = float((sel & is_true).sum()) / n_pos
-        if (fpr, tpr) != points[-1]:
-            points.append((fpr, tpr))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    fprs = np.array([f for f, _ in points])
-    tprs = np.array([t for _, t in points])
-    auc = float(np.trapezoid(tprs, fprs))
-    return RocCurve(tuple(points), auc)
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    # selection counts at the end of each tie group, i.e. per threshold
+    ends = np.flatnonzero(np.r_[ranked[1:] != ranked[:-1], True])
+    tp = np.r_[0, np.cumsum(is_true[order])[ends]]
+    fp = np.r_[0, ends + 1] - tp
+    fpr = fp / (p - len(truth))
+    tpr = tp / len(truth)
+    auc = float((np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
+    return RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())), auc)
 
 
 @dataclass(frozen=True)
@@ -331,23 +336,26 @@ def _run_chunk(
     start = time.perf_counter()
     rep_rngs = [rng.child(rep) for rep in reps]
     datasets = []
+    truths = []
     for rep_rng in rep_rngs:
         try:
             x = sample_design(design, rep_rng.child(0))
             sample = sample_response(x, model, rep_rng.child(1))
-            datasets.append(Dataset(x, sample.y, truth=sample.truth))
+            datasets.append(Dataset(x, sample.y))
+            truths.append(sample.truth)
         except MirrorSelectError as err:
             datasets.append(err)
+            truths.append(None)
     sel_rngs = [rep_rng.child(2) for rep_rng in rep_rngs]
     opts = screen_opts if method.startswith("s_") else None
     results = _run(method.removeprefix("s_"), datasets, q, spec, net, sel_rngs, opts)
     runtime_ms = (time.perf_counter() - start) * 1000.0 / len(reps)
     outcomes = []
-    for rep, sel_rng, dataset, result in zip(reps, sel_rngs, datasets, results):
+    for rep, sel_rng, truth, result in zip(reps, sel_rngs, truths, results):
         if isinstance(result, MirrorSelectError):
             outcomes.append((rep, None, f"{type(result).__name__}: {result}"))
             continue
-        metrics = evaluate(result.selected, dataset.truth, design.p)
+        metrics = evaluate(result.selected, truth, design.p)
         record = RepRecord(
             rep=rep,
             seed_label=f"{sel_rng.seed}:{sel_rng.stream}",
@@ -395,6 +403,7 @@ def run_benchmark(
     if reps < 1:
         raise ConfigurationError(f"reps must be positive, got {reps}")
     q = _check_q(q)
+    _check_model(model, design.p)
     # Mirroring needs three rows; screening splits off a third of six.
     min_rows = 6 if method.startswith("s_") else 3
     if design.n < min_rows:

@@ -9,6 +9,7 @@ path enumeration, finite differences, and projection residuals.
 import json
 import math
 import time
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -102,7 +103,7 @@ def test_criterion_1_measure_matches_double_sum(capsys):
             n = int(gen.integers(5, 51))
             spec = specs[case % len(specs)]
             if spec.family == "gaussian":
-                spec = spec.with_bandwidth(float(gen.uniform(0.8, 2.0)))
+                spec = replace(spec, bandwidth=float(gen.uniform(0.8, 2.0)))
             u = gen.standard_normal(n)
             v = gen.standard_normal(n)
             d_w = int(gen.integers(0, 4))
@@ -256,7 +257,7 @@ def test_criterion_3_importance_oracles(capsys):
             depth = int(gen.integers(0, 4))
             widths = [int(gen.integers(1, 5)) for _ in range(depth + 1)]
             net = _random_net(gen, widths)
-            values = path_importance(net).values
+            values = path_importance(net)
             for j in range(widths[0]):
                 np.testing.assert_allclose(
                     values[j], _enumerate_paths(net.weights, j),
@@ -267,7 +268,7 @@ def test_criterion_3_importance_oracles(capsys):
             widths = [int(gen.integers(2, 8)) for _ in range(depth + 1)]
             net = _random_net(gen, widths, activation="tanh")
             point = gen.standard_normal(widths[0])
-            grad = gradient_importance(net, point).values
+            grad = gradient_importance(net, point)
             h = 1e-5
             for j in range(widths[0]):
                 up = point.copy()

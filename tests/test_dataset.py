@@ -15,7 +15,6 @@ def test_shapes_and_defaults(gen):
     ds = _toy(gen, n=25, p=3)
     assert (ds.n, ds.p) == (25, 3)
     assert ds.names == ("x0", "x1", "x2")
-    assert ds.truth is None
     assert ds.response_name == "y"
 
 
@@ -46,17 +45,6 @@ def test_duplicate_names_rejected(gen):
         Dataset(x, x[:, 0], names=("a", "a"))
 
 
-def test_truth_validated(gen):
-    x = gen.standard_normal((10, 3))
-    y = x[:, 0]
-    ds = Dataset(x, y, truth=frozenset({0, 2}))
-    assert ds.truth == frozenset({0, 2})
-    with pytest.raises(InvalidDataError):
-        Dataset(x, y, truth=frozenset({3}))
-    with pytest.raises(InvalidDataError):
-        Dataset(x, y, truth=frozenset({-1}))
-
-
 def test_take_rows(gen):
     ds = _toy(gen)
     sub = ds.take_rows(np.array([3, 1, 7]))
@@ -65,15 +53,14 @@ def test_take_rows(gen):
     assert sub.names == ds.names
 
 
-def test_select_columns_remaps_truth(gen):
+def test_select_columns(gen):
     x = gen.standard_normal((20, 5))
-    ds = Dataset(x, x[:, 1], names=("a", "b", "c", "d", "e"),
-                 truth=frozenset({1, 4}))
+    ds = Dataset(x, x[:, 1], names=("a", "b", "c", "d", "e"), response_name="r")
     sub = ds.select_columns([4, 2, 1])
     assert sub.names == ("e", "c", "b")
-    # positions of old 4 and 1 in the new ordering
-    assert sub.truth == frozenset({0, 2})
+    assert sub.response_name == "r"
     np.testing.assert_array_equal(sub.x, x[:, [4, 2, 1]])
+    np.testing.assert_array_equal(sub.y, ds.y)
 
 
 def test_constant_columns(gen):

@@ -444,8 +444,13 @@ class TestCli:
             (["--q", "0.2", "--n", "2"], "sngm needs at least 3 rows, got n=2"),
             (["--q", "0.2", "--n", "5", "--method", "s_sngm"],
              "s_sngm needs at least 6 rows, got n=5"),
+            (["--q", "0.2", "--k", "6"], "k_signals=6 exceeds p=5"),
+            (["--q", "0.2", "--p", "1", "--k", "1"],
+             "default coefficient scale needs p >= 2"),
         ],
-        ids=["q", "m_keep", "n-mirroring", "n-screening"],
+        ids=[
+            "q", "m_keep", "n-mirroring", "n-screening", "k-above-p", "coef-sd-p1",
+        ],
     )
     def test_benchmark_rejects_before_any_rep(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bench"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,10 +177,10 @@ def test_closed_form_x_equals_z(gen):
 
 
 def test_closed_form_hand_instance():
-    # x=(1,0), z=(0,1), centering skipped, W a single ones column
+    # x=(1,0), z=(0,1), W a single ones column: centered, x and z both
+    # square to (1/4, 1/4), so W'x**2 = W'z**2 = 1/2 and c* = 1
     res = closed_form_c_linear(
-        np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-        np.ones((2, 1)), center=False,
+        np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones((2, 1))
     )
     np.testing.assert_allclose(res.c_star, 1.0, rtol=1e-14)
 
@@ -416,7 +417,7 @@ class _PublicObjective:
     def __init__(self, x, z, w, spec):
         n = x.shape[0]
         if spec.family == "gaussian" and spec.bandwidth is None:
-            self.spec = spec.with_bandwidth(median_heuristic_bandwidth(x))
+            self.spec = replace(spec, bandwidth=median_heuristic_bandwidth(x))
         else:
             self.spec = spec
         self.k_w = gram_matrix(w, spec) if w.shape[1] else np.ones((n, n))

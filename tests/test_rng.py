@@ -67,3 +67,42 @@ def test_stream_must_be_nonnegative():
 def test_child_index_range():
     with pytest.raises(ConfigurationError):
         RngSeed(0).child(2**64)
+
+
+
+# First three 64-bit words of each stream.  The stream index reaches
+# SeedSequence split into little-endian uint32 words, so these pin that
+# encoding for one-, two- and six-word streams.
+_GOLDEN = {
+    "seed0": (
+        RngSeed(),
+        [17394127715520444142, 5835390491061343638, 13324868866364183597],
+    ),
+    "stream0": (
+        RngSeed(2024, 0),
+        [12000890419009363256, 9768844463358631703, 3082286480419380898],
+    ),
+    "stream5": (
+        RngSeed(2024, 5),
+        [433967983409484605, 14655808590698345614, 12418836145710144586],
+    ),
+    "stream2p32": (
+        RngSeed(2024, 2**32),
+        [11652834241976707201, 16575218977902750703, 17458865418412632046],
+    ),
+    "chain3": (
+        RngSeed(7).child(3).child(2**63 + 1).child(11),
+        [15715530491888836581, 12055757752034436717, 2729845788326275042],
+    ),
+    "named": (
+        RngSeed(42).named_child("x3"),
+        [6196574397195399861, 4353290847643264960, 9820102041072550436],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_draws(case):
+    rng, words = _GOLDEN[case]
+    draws = rng.generator().integers(2**64, dtype=np.uint64, size=3)
+    assert [int(v) for v in draws] == words

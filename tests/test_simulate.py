@@ -256,6 +256,34 @@ class TestRocCurve:
                 roc_curve(scores, truth).auc, np.mean(pairs), rtol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "n_pos, n_neg, spread", [(4, 8, 2), (2, 16, 4), (8, 8, 1)]
+    )
+    def test_ties_match_threshold_sweep(self, gen, n_pos, n_neg, spread):
+        # Power-of-two class sizes make every rate and trapezoid exact, so
+        # the area equals the tie-corrected rank statistic bitwise.
+        p = n_pos + n_neg
+        for trial in range(40):
+            scores = gen.integers(-spread, spread + 1, p).astype(float)
+            if trial == 0:
+                scores[:] = 1.0
+            truth = set(int(j) for j in gen.choice(p, size=n_pos, replace=False))
+            is_true = np.isin(np.arange(p), list(truth))
+            points = [(0.0, 0.0)]
+            for t in np.unique(scores)[::-1]:
+                sel = scores >= t
+                fp = float(np.sum(sel & ~is_true))
+                tp = float(np.sum(sel & is_true))
+                points.append((fp / n_neg, tp / n_pos))
+            wins = sum(
+                float(scores[i] > scores[j]) + 0.5 * float(scores[i] == scores[j])
+                for i in np.flatnonzero(is_true)
+                for j in np.flatnonzero(~is_true)
+            )
+            curve = roc_curve(scores, truth)
+            assert curve.points == tuple(points)
+            assert curve.auc == wins / (n_pos * n_neg)
+
     def test_sign_reversal_complements_auc(self, gen):
         scores = gen.standard_normal(30)
         truth = {1, 4, 9}
@@ -476,6 +504,13 @@ class TestRunBenchmark:
             run_benchmark(DesignSpec(2, 4, "identity"), model, method="ingm")
         with pytest.raises(ConfigurationError, match="at least 6 rows"):
             run_benchmark(DesignSpec(5, 4, "identity"), model, method="s_ingm")
+        # a model the design cannot hold fails before any rep is drawn
+        with pytest.raises(ConfigurationError, match="k_signals=5 exceeds p=4"):
+            run_benchmark(design, ModelSpec(k_signals=5))
+        with pytest.raises(ConfigurationError, match="support indices out of range"):
+            run_benchmark(design, ModelSpec(support=(0, 4)))
+        with pytest.raises(ConfigurationError, match="needs p >= 2"):
+            run_benchmark(DesignSpec(30, 1, "identity"), model)
 
 
 def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
