@@ -35,7 +35,6 @@ from .kernelmeasure import (
     GramTriple,
     KernelSpec,
     SearchConfig,
-    closed_form_c_linear,
     conditional_dependence,
     gram_matrix,
     median_heuristic_bandwidth,
@@ -112,7 +111,6 @@ __all__ = [
     "TrainedNet",
     "TrainingError",
     "adaptive_threshold",
-    "closed_form_c_linear",
     "conditional_dependence",
     "default_coef_sd",
     "default_hidden_sizes",

@@ -43,6 +43,7 @@ from .simulate import (
     METHODS,
     DesignSpec,
     ModelSpec,
+    default_coef_sd,
     evaluate,
     roc_curve,
     run_benchmark,
@@ -276,7 +277,7 @@ def _cmd_simulate(args, out_dir: Path) -> None:
                 "kind": model.kind,
                 "link": model.link,
                 "k_signals": model.k_signals,
-                "coef_sd": model.coef_sd,
+                "coef_sd": model.coef_sd or default_coef_sd(design.n, design.p),
                 "noise_sd": model.noise_sd,
             },
         },
@@ -300,18 +301,8 @@ def _cmd_benchmark(args, out_dir: Path) -> None:
         threads=args.threads,
     )
     write_benchmark_csv(result, out_dir / "reps.csv")
-    summary = {
-        "method": result.method,
-        "q": result.q,
-        "reps": result.reps,
-        "completed": len(result.rows),
-        "failures": [[rep, msg] for rep, msg in result.failures],
-        "mean_fdp": result.mean_fdp,
-        "se_fdp": result.se_fdp,
-        "mean_power": result.mean_power,
-        "se_power": result.se_power,
-        "mean_fpr": result.mean_fpr,
-    }
+    summary = asdict(result)
+    summary["completed"] = len(summary.pop("rows"))
     # A mean over no completed rep is NaN, which JSON cannot hold.
     write_json(
         {

@@ -23,8 +23,7 @@ of x and of z scaled by the bandwidth resolved from x (x and z for the
 polynomial family), and it owns two n x n buffers.  An evaluation
 overwrites the buffers with the halves' Grams and centers them there;
 it allocates no n x n array.  ``_linear_closed_form`` forms the linear
-quartic's inputs for ``closed_form_c_linear``, ``minimize_c`` and the
-mirror construction alike.
+quartic's inputs for ``minimize_c`` and the mirror construction alike.
 """
 
 from __future__ import annotations
@@ -339,7 +338,7 @@ def _search_inputs(x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizationResult:
-    """``closed_form_c_linear`` on checked inputs, given |W| as ``w_abs``.
+    """The linear ``minimize_c`` on checked inputs, given |W| as ``w_abs``.
     The quartic's coefficients are inner products of W'x**2, W'z**2 and
     |W|'z**2 (squares entrywise); ``drop`` removes that column's entry
     from each, so a full design can stand in for W without a copy."""
@@ -375,23 +374,6 @@ def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizatio
     value = alpha - 2.0 * beta * c_sq + gamma * c_sq * c_sq
     measure = max(value, 0.0) / (n * n)
     return CMinimizationResult(c, measure * measure, "closed_form", 0)
-
-
-def closed_form_c_linear(x, z, w=None) -> CMinimizationResult:
-    """Exact minimizer of the linear-kernel objective over c >= 0.
-
-    ``x`` and ``z`` are single columns, ``w`` the remaining columns (may
-    be None or have zero columns).  x and z are mean-centered first,
-    which matches what the dependence measure's centering does to linear
-    Gram matrices.
-
-    The objective is an even quartic a - 2 b c**2 + g c**4; its minimizer
-    is sqrt(b/g) when b > 0 and 0 otherwise.  A vanishing denominator g
-    means z is perturbing in directions the conditioning block cannot
-    see, and raises DegeneratePerturbationError.
-    """
-    x, z, w_block = _search_inputs(x, z, w)
-    return _linear_closed_form(x, z, w_block, np.abs(w_block))
 
 
 def _golden_section(f, a: float, b: float, tol: float):
@@ -497,13 +479,20 @@ def minimize_c(
 ) -> CMinimizationResult:
     """Scale c minimizing dep(x + c z, x - c z | w) over c >= 0.
 
-    Linear kernels take the closed form.  Other kernels use a coarse
-    grid to bracket the best basin on [0, c_max] followed by
-    golden-section refinement.  A gaussian bandwidth left unset in
-    ``spec`` is resolved once from x (for both mirrored halves) and once
-    from w, and K_W is built once, so the objective is a fixed function
-    of c.  A kernel that overflows (say a high polynomial degree) raises
-    NumericalError naming the kernel family.
+    ``x`` and ``z`` are single columns, ``w`` the remaining columns (None
+    or zero columns: condition on nothing).  Linear kernels take the
+    closed form: with x and z mean-centered, as the measure's centering
+    does to linear Grams, the objective is the even quartic
+    a - 2 b c**2 + g c**4, minimized at sqrt(max(b, 0) / g); a z that is
+    zero or unseen by w (g vanishes) raises DegeneratePerturbationError.
+
+    Other kernels use a coarse grid to bracket the best basin on
+    [0, c_max] followed by golden-section refinement.  A gaussian
+    bandwidth left unset in ``spec`` is resolved once from x (for both
+    mirrored halves) and once from w, and K_W is built once, so the
+    objective is a fixed function of c.  A kernel that overflows (say a
+    high polynomial degree) raises NumericalError naming the kernel
+    family.
     """
     x, z, w_block = _search_inputs(x, z, w)
     if float(np.linalg.norm(z)) == 0.0:

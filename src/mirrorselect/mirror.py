@@ -13,7 +13,6 @@ others, and permuting columns permutes the mirrors with them.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +58,6 @@ def _exact_complement(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     return rest
 
 
-@contextmanager
-def _naming_feature(dataset: Dataset, j: int):
-    """Prefix any MirrorSelectError raised inside with feature j's name."""
-    try:
-        yield
-    except MirrorSelectError as err:
-        raise type(err)(f"feature {j} ({dataset.names[j]}): {err}") from err
-
-
 def _mirror_feature(
     dataset: Dataset, j: int, spec: KernelSpec, rng: RngSeed, x_abs: np.ndarray | None
 ) -> MirrorPair:
@@ -78,11 +68,13 @@ def _mirror_feature(
     x_all = dataset.x
     x = x_all[:, j]
     z = rng.named_child(dataset.names[j]).generator().standard_normal(dataset.n)
-    with _naming_feature(dataset, j):
+    try:
         if spec.family == "linear":
             result = _linear_closed_form(x, z, x_all, x_abs, drop=j)
         else:
             result = minimize_c(x, z, np.delete(x_all, j, axis=1), spec)
+    except MirrorSelectError as err:
+        raise type(err)(f"feature {j} ({dataset.names[j]}): {err}") from err
     x_plus = x + result.c_star * z
     return MirrorPair(
         feature_index=j,

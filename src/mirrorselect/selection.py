@@ -49,13 +49,14 @@ _STREAM_TRAIN = 3
 _MAX_FAILURE_FRACTION = 0.1
 
 
-def mirror_statistic(l_plus: float, l_minus: float) -> float:
-    """Signed evidence that both halves of a mirrored pair matter."""
-    lp = float(l_plus)
-    lm = float(l_minus)
-    if not (np.isfinite(lp) and np.isfinite(lm)):
+def mirror_statistic(l_plus, l_minus):
+    """Signed evidence that both halves of a mirrored pair matter,
+    elementwise over same-shape importances (floats or arrays)."""
+    lp = np.asarray(l_plus, dtype=float)
+    lm = np.asarray(l_minus, dtype=float)
+    if not (np.isfinite(lp).all() and np.isfinite(lm).all()):
         raise InvalidDataError("importances must be finite")
-    return abs(lp + lm) - abs(lp - lm)
+    return np.abs(lp + lm) - np.abs(lp - lm)
 
 
 def estimate_fdp(m, t: float) -> float:
@@ -366,8 +367,8 @@ def _select_steps(method, score, dataset, q, spec, rng, screen_opts):
         raise InvalidDataError("expected a Dataset")
     p = dataset.p
     constant = dataset.constant_columns()
-    active = [j for j in range(p) if not constant[j]]
-    if not active:
+    active = np.flatnonzero(~constant)
+    if not active.size:
         raise InvalidDataError("every column is constant; nothing to select from")
     working = dataset.standardized().select_columns(active)
 
@@ -378,12 +379,11 @@ def _select_steps(method, score, dataset, q, spec, rng, screen_opts):
         screen_result = yield from _screen_steps(
             working, screen_opts.m_keep, rng.child(_STREAM_SCREEN)
         )
-        kept_local = set(screen_result.kept)
-        dropped = [active[i] for i in range(len(active)) if i not in kept_local]
-        screened_out[dropped] = True
+        kept = list(screen_result.kept)
+        screened_out[np.delete(active, kept)] = True
         rows = np.setdiff1d(np.arange(working.n), screen_result.split_rows)
-        working = working.take_rows(rows).select_columns(sorted(kept_local))
-        active = [j for j in active if not screened_out[j]]
+        working = working.take_rows(rows).select_columns(kept)
+        active = active[kept]
 
     mirrors = make_all_mirrors(working, spec, rng.child(_STREAM_MIRROR))
     l_plus_active, l_minus_active, failures = yield from score(
@@ -391,8 +391,8 @@ def _select_steps(method, score, dataset, q, spec, rng, screen_opts):
     )
     failure_reasons = {}
     for i, err in failures.items():
-        err.feature_index = active[i]
-        failure_reasons[active[i]] = str(err)
+        err.feature_index = int(active[i])
+        failure_reasons[err.feature_index] = str(err)
     if len(failure_reasons) > _MAX_FAILURE_FRACTION * len(mirrors):
         lines = [f"{dataset.names[j]}: {why}" for j, why in failure_reasons.items()]
         raise TrainingError(
@@ -403,13 +403,11 @@ def _select_steps(method, score, dataset, q, spec, rng, screen_opts):
 
     l_plus = np.zeros(p)
     l_minus = np.zeros(p)
-    m = np.zeros(p)
     c_values = np.zeros(p)
-    for i, j in enumerate(active):
-        c_values[j] = mirrors[i].c
-        l_plus[j] = l_plus_active[i]
-        l_minus[j] = l_minus_active[i]
-        m[j] = mirror_statistic(l_plus[j], l_minus[j])
+    l_plus[active] = l_plus_active
+    l_minus[active] = l_minus_active
+    c_values[active] = [pair.c for pair in mirrors]
+    m = mirror_statistic(l_plus, l_minus)
     threshold = adaptive_threshold(m, q)
     if threshold is None:
         selected = frozenset()

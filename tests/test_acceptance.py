@@ -24,8 +24,8 @@ from mirrorselect.dataset import Dataset
 from mirrorselect.kernelmeasure import (
     GramTriple,
     KernelSpec,
-    closed_form_c_linear,
     conditional_dependence,
+    minimize_c,
 )
 from mirrorselect.mirror import make_all_mirrors
 from mirrorselect.neuralnet import (
@@ -170,7 +170,7 @@ def test_criterion_2_closed_form_c_oracle(capsys):
             x = gen.standard_normal(n)
             z = gen.standard_normal(n)
             w = gen.standard_normal((n, int(gen.integers(1, 5))))
-            cf = closed_form_c_linear(x, z, w)
+            cf = minimize_c(x, z, w)
             if cf.c_star == 0.0:
                 # boundary minimizer has no relative scale; covered below
                 continue
@@ -188,7 +188,7 @@ def test_criterion_2_closed_form_c_oracle(capsys):
             x = gen.standard_normal(n)
             z = gen.standard_normal(n)
             w = gen.standard_normal((n, int(gen.integers(1, 5))))
-            cf = closed_form_c_linear(x, z, w)
+            cf = minimize_c(x, z, w)
             if cf.c_star != 0.0:
                 continue
             hi = 10.0 * np.linalg.norm(x) / np.linalg.norm(z)
@@ -210,7 +210,7 @@ def test_criterion_2_closed_form_c_oracle(capsys):
             for _ in range(5):
                 x = h[:, list(span)] @ gen.standard_normal(len(span))
                 z = h[:, list(span)] @ gen.standard_normal(len(span))
-                cf = closed_form_c_linear(x, z, w)
+                cf = minimize_c(x, z, w)
                 qx = x - w @ np.linalg.lstsq(w, x, rcond=None)[0]
                 qz = z - w @ np.linalg.lstsq(w, z, rcond=None)[0]
                 gm = math.sqrt((qx @ qx) / (qz @ qz))

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ from mirrorselect import (
     NumericalError,
     RngSeed,
     TrainingError,
+    default_coef_sd,
     evaluate,
     load_csv,
     load_truth,
@@ -206,6 +208,23 @@ class TestCli:
         assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
         c = _simulate(tmp_path, "c", seed="6")
         assert (a / "dataset.csv").read_bytes() != (c / "dataset.csv").read_bytes()
+
+    def test_simulate_records_the_default_coef_sd(self, tmp_path):
+        # the default scale is the one the draw used: giving it explicitly
+        # draws the same data, and both runs record it
+        sd = default_coef_sd(60, 8)
+        runs = []
+        for name, extra in (("default", []), ("explicit", ["--coef-sd", repr(sd)])):
+            out = tmp_path / name
+            args = ["simulate", "--n", "60", "--p", "8", "--k", "3", "--seed", "5"]
+            assert main([*args, *extra, "--out", str(out)]) == 0
+            truth = json.loads((out / "truth.json").read_text())
+            runs.append(((out / "dataset.csv").read_bytes(), truth))
+        (csv_default, default), (csv_explicit, explicit) = runs
+        assert csv_default == csv_explicit
+        assert default["beta"] == explicit["beta"]
+        assert default["model"]["coef_sd"] == explicit["model"]["coef_sd"]
+        assert default["model"]["coef_sd"] == 20.0 * math.sqrt(math.log(8) / 60)
 
     def test_simulate_manifest(self, tmp_path):
         out = _simulate(tmp_path, "m")

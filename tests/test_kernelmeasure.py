@@ -13,7 +13,6 @@ from mirrorselect import (
     KernelSpec,
     NumericalError,
     SearchConfig,
-    closed_form_c_linear,
     conditional_dependence,
     gram_matrix,
     median_heuristic_bandwidth,
@@ -171,7 +170,7 @@ def test_gram_triple_empty_w_is_ones(gen):
 def test_closed_form_x_equals_z(gen):
     x = gen.standard_normal(25)
     w = gen.standard_normal((25, 4))
-    res = closed_form_c_linear(x, x.copy(), w)
+    res = minimize_c(x, x.copy(), w)
     assert res.method == "closed_form"
     np.testing.assert_allclose(res.c_star, 1.0, rtol=1e-12)
 
@@ -179,7 +178,7 @@ def test_closed_form_x_equals_z(gen):
 def test_closed_form_hand_instance():
     # x=(1,0), z=(0,1), W a single ones column: centered, x and z both
     # square to (1/4, 1/4), so W'x**2 = W'z**2 = 1/2 and c* = 1
-    res = closed_form_c_linear(
+    res = minimize_c(
         np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones((2, 1))
     )
     np.testing.assert_allclose(res.c_star, 1.0, rtol=1e-14)
@@ -189,9 +188,9 @@ def test_closed_form_homogeneous_in_x(gen):
     x = gen.standard_normal(30)
     z = gen.standard_normal(30)
     w = gen.standard_normal((30, 5))
-    base = closed_form_c_linear(x, z, w).c_star
+    base = minimize_c(x, z, w).c_star
     for a in (0.5, 2.0, 17.0):
-        scaled = closed_form_c_linear(a * x, z, w).c_star
+        scaled = minimize_c(a * x, z, w).c_star
         np.testing.assert_allclose(scaled, a * base, rtol=1e-12)
 
 
@@ -199,14 +198,14 @@ def test_closed_form_zero_z_degenerate(gen):
     x = gen.standard_normal(10)
     w = gen.standard_normal((10, 2))
     with pytest.raises(DegeneratePerturbationError):
-        closed_form_c_linear(x, np.zeros(10), w)
+        minimize_c(x, np.zeros(10), w)
 
 
 def test_closed_form_empty_w(gen):
     # conditioning on nothing: beta = gamma-style sums of squares
     x = gen.standard_normal(12)
     z = gen.standard_normal(12)
-    res = closed_form_c_linear(x, z, None)
+    res = minimize_c(x, z, None)
     xc = x - x.mean()
     zc = z - z.mean()
     expect = math.sqrt((xc @ xc) / (zc @ zc))
@@ -219,7 +218,7 @@ def test_closed_form_matches_golden_section(gen):
         x = gen.standard_normal(n)
         z = gen.standard_normal(n)
         w = gen.standard_normal((n, int(gen.integers(1, 5))))
-        cf = closed_form_c_linear(x, z, w)
+        cf = minimize_c(x, z, w)
         gs = _golden_section_oracle(x, z, w)
         if cf.c_star == 0.0:
             # boundary minimizer: search lands within its tolerance of 0
@@ -264,7 +263,7 @@ def test_minimize_c_linear_delegates(gen):
     x = gen.standard_normal(20)
     z = gen.standard_normal(20)
     w = gen.standard_normal((20, 3))
-    direct = closed_form_c_linear(x, z, w)
+    direct = kernelmeasure._linear_closed_form(x, z, w, np.abs(w))
     via = minimize_c(x, z, w, LINEAR)
     assert via.method == "closed_form"
     assert via.c_star == direct.c_star
@@ -349,7 +348,7 @@ def test_even_objective_flat_gradient_at_minimizer(gen):
         x = gen.standard_normal(n)
         z = gen.standard_normal(n)
         w = gen.standard_normal((n, 3))
-        res = closed_form_c_linear(x, z, w)
+        res = minimize_c(x, z, w)
 
         xc = x - x.mean()
         zc = z - z.mean()
@@ -387,11 +386,10 @@ def _malformed_search_inputs():
 @pytest.mark.parametrize(
     "search",
     [
-        closed_form_c_linear,
         lambda x, z, w: minimize_c(x, z, w, LINEAR),
         lambda x, z, w: minimize_c(x, z, w, KernelSpec("gaussian")),
     ],
-    ids=["closed_form", "minimize_c_linear", "minimize_c_gaussian"],
+    ids=["minimize_c_linear", "minimize_c_gaussian"],
 )
 def test_c_search_rejects_malformed_inputs(case, search):
     x, z, w = _malformed_search_inputs()[case]

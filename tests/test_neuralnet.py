@@ -332,6 +332,24 @@ def test_train_many_isolates_divergence_with_per_net_targets(gen):
     _assert_identical(stacked, alone)
 
 
+def test_train_many_target_scalers_are_each_rows_own(gen):
+    # one row per net: a wide one, an offset small one, a constant one and
+    # one whose spread is below the floor; each net keeps its row's
+    # float(mean) and floored float(std)
+    n, k = 50, 4
+    y = gen.standard_normal((k, n)) * [[40.0], [1e-3], [0.0], [1e-14]]
+    y += [[0.0], [3.0], [2.5], [-7.0]]
+    cfg = NetConfig(hidden_sizes=(4,), epochs=2, batch_size=16)
+    designs = [gen.standard_normal((n, 3)) for _ in range(k)]
+    nets = train_many(designs, y, cfg, [RngSeed(3, i) for i in range(k)])
+    for net, row in zip(nets, y):
+        scale = float(row.std())
+        assert type(net.target_mean) is float and type(net.target_scale) is float
+        assert net.target_mean == float(row.mean())
+        assert net.target_scale == (scale if scale >= neuralnet._SCALE_FLOOR else 1.0)
+    assert nets[2].target_scale == nets[3].target_scale == 1.0
+
+
 def test_train_many_per_net_targets(gen, monkeypatch):
     # seven nets over four groups, each fitting its own targets on its own
     # scale: every net must be its lone fit on its own row

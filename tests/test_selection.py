@@ -65,6 +65,26 @@ class TestMirrorStatistic:
         with pytest.raises(InvalidDataError):
             mirror_statistic(bad, 1.0)
 
+    def test_arrays_match_the_float_formula_bitwise(self, gen):
+        # signed zeros, ties (b = a and b = -a) and magnitudes 1e-8..1e8
+        special = [0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 1e8, -1e8]
+        mags = 10.0 ** gen.uniform(-8.0, 8.0, size=(2, 400))
+        x, y = mags * gen.choice([-1.0, 1.0], size=(2, 400))
+        ties = x[:50]
+        a = np.concatenate([np.repeat(special, 8), x, ties, ties])
+        b = np.concatenate([np.tile(special, 8), y, ties, -ties])
+        want = [abs(lp + lm) - abs(lp - lm) for lp, lm in zip(a.tolist(), b.tolist())]
+        assert mirror_statistic(a, b).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_of_an_array_rejected(self, bad):
+        good = np.linspace(-1.0, 1.0, 9)
+        spoiled = good.copy()
+        spoiled[4] = bad
+        for pair in ((spoiled, good), (good, spoiled)):
+            with pytest.raises(InvalidDataError, match="importances must be finite"):
+                mirror_statistic(*pair)
+
 
 class TestEstimateFdp:
     def test_hand_values(self):
@@ -370,6 +390,8 @@ class TestRunIngm:
         assert np.count_nonzero(res.stats.m) == 9
         errors = [fit for fit in fits if isinstance(fit, TrainingError)]
         assert [err.feature_index for err in errors] == [8]
+        # Python ints, not numpy integers, as keys and as the error's field
+        assert [type(j) for j in res.failure_reasons] == [type(errors[0].feature_index)] == [int]
         # the reason travels with the result, down to result.json
         assert res.failure_reasons == {8: str(errors[0])}
         assert res.failure_reasons[8].startswith("loss became non-finite at epoch ")
@@ -381,7 +403,7 @@ class TestRunIngm:
         with pytest.raises(TrainingError) as info:
             run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.6), rng=RngSeed(2))
         assert str(info.value).startswith("2 of 10 per-feature networks failed")
-        assert info.value.feature_index == 3
+        assert info.value.feature_index == 3 and type(info.value.feature_index) is int
 
     def test_sngm_faster_for_ten_plus_features(self):
         # joint run trains one network, individual run trains twelve
