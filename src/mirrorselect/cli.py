@@ -22,7 +22,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy
-import scipy
 
 from . import __version__
 from .dataset import Dataset
@@ -351,7 +350,6 @@ def _write_manifest(args, out_dir: Path, elapsed_s: float) -> None:
             "versions": {
                 "mirrorselect": __version__,
                 "numpy": numpy.__version__,
-                "scipy": scipy.__version__,
                 "python": platform.python_version(),
             },
             "timings": {"total_s": elapsed_s},

@@ -10,6 +10,7 @@ import csv
 import json
 import logging
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -66,39 +67,41 @@ def load_csv(path, response="y") -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise InvalidDataError(f"{path}: file is empty") from None
-            rows = list(reader)
+            header = [h.strip() for h in header]
+            if any(not h for h in header):
+                raise InvalidDataError(f"{path}: header has empty column names")
+            if len(set(header)) != len(header):
+                raise InvalidDataError(f"{path}: duplicate column names in header")
+            y_col = _resolve_response_column(header, response, path)
+            if len(header) < 2:
+                raise InvalidDataError(f"{path}: need at least one feature column")
+            # Row by row into one flat buffer: every row's cell strings held
+            # at once (~30 MB on a 4000x101 file) set the process's peak RSS.
+            flat = array("d")
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise InvalidDataError(
+                        f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                    )
+                for j, cell in enumerate(row):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise InvalidDataError(
+                            f"{path}: row {i}, column {header[j]!r}: "
+                            f"cannot parse {cell.strip()!r} as a number"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise InvalidDataError(
+                            f"{path}: row {i}, column {header[j]!r}: "
+                            f"non-finite value {cell.strip()!r}"
+                        )
+                    flat.append(v)
     except OSError as err:
         raise InvalidDataError(f"cannot read {path}: {err}") from err
-
-    header = [h.strip() for h in header]
-    if any(not h for h in header):
-        raise InvalidDataError(f"{path}: header has empty column names")
-    if len(set(header)) != len(header):
-        raise InvalidDataError(f"{path}: duplicate column names in header")
-    y_col = _resolve_response_column(header, response, path)
-    if len(header) < 2:
-        raise InvalidDataError(f"{path}: need at least one feature column")
-    if not rows:
+    if not flat:
         raise InvalidDataError(f"{path}: no data rows")
-    values = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise InvalidDataError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise InvalidDataError(
-                    f"{path}: row {i}, column {header[j]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not math.isfinite(v):
-                raise InvalidDataError(
-                    f"{path}: row {i}, column {header[j]!r}: non-finite value {cell.strip()!r}"
-                )
-            values[i - 1, j] = v
+    values = np.array(flat).reshape(-1, len(header))
 
     feature_cols = [j for j in range(len(header)) if j != y_col]
     names = tuple(header[j] for j in feature_cols)
@@ -147,12 +150,9 @@ def write_json(doc, path) -> None:
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.names) + [dataset.response_name])
-        for i in range(dataset.n):
-            writer.writerow(
-                [_fmt(v) for v in dataset.x[i]] + [_fmt(dataset.y[i])]
-            )
+        csv.writer(fh).writerow(list(dataset.names) + [dataset.response_name])
+        np.savetxt(fh, np.column_stack([dataset.x, dataset.y]),
+                   fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def write_benchmark_csv(result: BenchmarkResult, path) -> None:

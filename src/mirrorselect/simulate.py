@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._parallel import parallel_map
 from .dataset import Dataset
@@ -93,8 +92,10 @@ def sample_design(spec: DesignSpec, rng: RngSeed = RngSeed(0)) -> np.ndarray:
         chol = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"precision matrix is not positive definite: {err}") from err
-    # rows ~ N(0, omega^{-1}): solve chol' x' = z'.
-    return solve_triangular(chol, z.T, trans="T", lower=True).T
+    # rows ~ N(0, omega^{-1}): solve chol' x' = z'.  chol' is upper
+    # triangular, so the LU solve makes no pivots; C order keeps the
+    # rounding of later products such as x @ beta.
+    return np.ascontiguousarray(np.linalg.solve(chol.T, z.T).T)
 
 
 def default_coef_sd(n: int, p: int) -> float:

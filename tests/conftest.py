@@ -35,3 +35,30 @@ def _slow_center(k):
         for j in range(n):
             out[i, j] = k[i, j] - row[i] - col[j] + grand
     return out
+
+
+def dependence_on_grid(x, z, k_w, grid, gram):
+    """dep(x + c z, x - c z | W) at every c of ``grid``, a chunk of c
+    values at a time, straight from the measure's definition:
+    (1/n**2) sum_ij [H K_U H]_ij [H K_V H]_ij [K_W]_ij, clipped at 0.
+
+    ``gram`` maps an (m, n) stack of columns to their (m, n, n) Grams.
+    Shares no code with the library's measure.
+    """
+    n, chunk = len(x), 500
+    out = np.empty(len(grid))
+    for start in range(0, len(grid), chunk):
+        c = grid[start:start + chunk, None]
+        k_u = _batched_center(gram(x + c * z))
+        k_v = _batched_center(gram(x - c * z))
+        out[start:start + chunk] = np.einsum("cij,cij,ij->c", k_u, k_v, k_w) / (n * n)
+    return np.maximum(out, 0.0)
+
+
+def _batched_center(k):
+    return (
+        k
+        - k.mean(axis=1, keepdims=True)
+        - k.mean(axis=2, keepdims=True)
+        + k.mean(axis=(1, 2), keepdims=True)
+    )

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mirrorselect import Dataset, InvalidDataError
+from mirrorselect import (
+    Dataset,
+    InvalidDataError,
+    KernelSpec,
+    NetConfig,
+    RngSeed,
+    run_sngm,
+)
 from mirrorselect.dataset import default_names
 
 
@@ -89,3 +96,21 @@ def test_immutability(gen):
     ds = _toy(gen)
     with pytest.raises((ValueError, AttributeError)):
         ds.x[0, 0] = 99.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Dataset keeps the caller's memory order, and c and m round "
+    "differently on a Fortran-ordered design; forcing C order would move "
+    "the fingerprints of load_csv and select_columns, whose designs are "
+    "Fortran-ordered",
+)
+def test_results_do_not_depend_on_memory_layout(gen):
+    x = gen.standard_normal((60, 6))
+    y = x[:, 0] + gen.standard_normal(60)
+    net = NetConfig(hidden_sizes=(8,), epochs=20, learning_rate=5e-3)
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian")):
+        a = run_sngm(Dataset(x, y), 0.2, spec, net, RngSeed(1))
+        b = run_sngm(Dataset(np.asfortranarray(x), y), 0.2, spec, net, RngSeed(1))
+        np.testing.assert_array_equal(a.c_values, b.c_values)
+        np.testing.assert_array_equal(a.stats.m, b.stats.m)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -94,6 +95,13 @@ class TestLoadCsv:
         with pytest.raises(InvalidDataError, match="row 2 has 2 cells"):
             load_csv(path)
 
+    def test_first_faulty_row_is_named(self, tmp_path):
+        # rows are checked in file order: the bad cell in row 1 is reported,
+        # not the short row 2 or the unparsable row 3 after it
+        path = _write(tmp_path / "d.csv", "a,b,y\n1,inf,3\n4,5\nx,1,2\n")
+        with pytest.raises(InvalidDataError, match=r"row 1, column 'b': non-finite"):
+            load_csv(path)
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -131,6 +139,29 @@ class TestLoadCsv:
         np.testing.assert_allclose(back.x, ds.x, rtol=0, atol=1e-15)
         np.testing.assert_allclose(back.y, ds.y, rtol=0, atol=1e-15)
         assert back.names == ds.names
+
+    def test_dataset_csv_bytes_match_per_cell_writer(self, tmp_path):
+        def per_cell(dataset, path):
+            # the row-by-row csv.writer this writer must reproduce byte for byte
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(list(dataset.names) + [dataset.response_name])
+                for i in range(dataset.n):
+                    writer.writerow(
+                        [format(float(v), ".17g") for v in dataset.x[i]]
+                        + [format(float(dataset.y[i]), ".17g")]
+                    )
+
+        x = sample_design(DesignSpec(30, 6, "toeplitz_pc", 0.5), RngSeed(3))
+        x[0] = [-0.0, 1e-300, 1e300, 3.0, -7.0, 5e-324]
+        y = RngSeed(4).generator().standard_normal(30)
+        y[1:3] = [-0.0, 2.0]
+        ds = Dataset(x, y, names=("a,b", "c1", 'q"t', "c3", "c4", "c5"),
+                     response_name="y,z")
+        write_dataset_csv(ds, tmp_path / "fast.csv")
+        per_cell(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes().startswith(b'"a,b",c1,"q""t"')
 
 
 class TestLoadTruth:
@@ -201,6 +232,37 @@ class TestCli:
         doc = json.loads((tmp_path / "out" / "result.json").read_text())
         assert [f["constant"] for f in doc["features"]] == [False, False, False, True]
 
+    def test_commands_run_on_numpy_alone(self, tmp_path):
+        # a fresh interpreter runs every command, then lists the scipy
+        # modules it has loaded: the runtime needs none
+        script = textwrap.dedent("""
+            import sys
+            from mirrorselect.cli import main
+            out = sys.argv[1]
+            design = ["--n", "40", "--p", "4", "--k", "1",
+                      "--structure", "toeplitz", "--rho", "0.5"]
+            net = ["--hidden", "4", "--epochs", "5", "--q", "0.2", "--seed", "1"]
+            data = ["--data", out + "/sim/dataset.csv"]
+            truth = ["--truth", out + "/sim/truth.json"]
+            for argv in (
+                ["simulate", *design, "--out", out + "/sim"],
+                ["select", *data, *net, "--kernel", "gaussian", "--out", out + "/select"],
+                ["roc", *data, *truth, *net, "--out", out + "/roc"],
+                ["benchmark", *design, *net, "--reps", "2", "--threads", "1",
+                 "--out", out + "/bench"],
+            ):
+                assert main(argv) == 0, argv
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_simulate_deterministic(self, tmp_path):
         a = _simulate(tmp_path, "a")
         b = _simulate(tmp_path, "b")
@@ -232,8 +294,7 @@ class TestCli:
         assert doc["command"] == "simulate"
         assert doc["config"]["seed"] == 5
         assert doc["config"]["n"] == 80
-        for key in ("mirrorselect", "numpy", "scipy", "python"):
-            assert key in doc["versions"]
+        assert sorted(doc["versions"]) == ["mirrorselect", "numpy", "python"]
         assert doc["timings"]["total_s"] > 0
 
     def test_structure_aliases(self, tmp_path):

@@ -19,7 +19,7 @@ from mirrorselect import (
     minimize_c,
 )
 from mirrorselect import kernelmeasure
-from conftest import naive_conditional_dependence
+from conftest import dependence_on_grid, naive_conditional_dependence
 
 LINEAR = KernelSpec("linear")
 
@@ -285,10 +285,17 @@ def test_minimize_c_gaussian_dense_grid_oracle(gen):
         k_v = gram_matrix(x - c * z, spec)
         return conditional_dependence(GramTriple(k_u, k_v, k_w)) ** 2
 
+    def gaussian(cols):
+        d = cols[:, :, None] - cols[:, None, :]
+        return np.exp(d * d / (-2.0 * spec.bandwidth**2))
+
     c_max = 10.0 * np.linalg.norm(x) / np.linalg.norm(z)
     grid = np.linspace(0.0, c_max, 100001)
-    values = np.array([objective(c) for c in grid])
-    best = grid[int(np.argmin(values))]
+    values = dependence_on_grid(x, z, k_w, grid, gaussian) ** 2
+    arg = int(np.argmin(values))
+    for i in [*range(0, len(grid), 100), arg]:
+        np.testing.assert_allclose(values[i], objective(grid[i]), rtol=1e-12)
+    best = grid[arg]
     assert abs(res.c_star - best) <= 1e-3 * max(1.0, best)
     assert res.method == "scalar_search"
     assert res.evaluations > 10

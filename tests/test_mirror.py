@@ -21,6 +21,7 @@ from mirrorselect import (
     sample_response,
 )
 from mirrorselect import selection
+from conftest import dependence_on_grid
 
 LINEAR = KernelSpec("linear")
 EPS = np.finfo(float).eps
@@ -102,10 +103,16 @@ def test_recovered_c_matches_dense_grid(gen):
         triple = GramTriple.from_data(x + c * pair.z, x - c * pair.z, w, LINEAR)
         return conditional_dependence(triple) ** 2
 
+    def linear(cols):
+        return cols[:, :, None] * cols[:, None, :]
+
     hi = 4.0 * max(pair.c, 0.5)
     grid = np.linspace(0.0, hi, 40001)
-    values = np.array([objective(c) for c in grid])
-    best = grid[int(np.argmin(values))]
+    values = dependence_on_grid(x, pair.z, w @ w.T, grid, linear) ** 2
+    arg = int(np.argmin(values))
+    for i in [*range(0, len(grid), 100), arg]:
+        np.testing.assert_allclose(values[i], objective(grid[i]), rtol=1e-12)
+    best = grid[arg]
     assert abs(pair.c - best) <= 1e-3 * max(1.0, best)
 
 

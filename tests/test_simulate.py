@@ -113,6 +113,26 @@ class TestSampleDesign:
         np.testing.assert_allclose(x.std(axis=0), 1.0, atol=0.1)
         assert x.shape == (4000, 4)
 
+    @pytest.mark.parametrize(
+        "structure,rho",
+        [("identity", 0.0), ("toeplitz_pc", 0.6), ("constant_pc", -0.05)],
+    )
+    def test_matches_triangular_solve(self, structure, rho):
+        # the draw solves chol' x' = z' with a general solver; scipy's
+        # triangular solve is the oracle.  C order keeps x @ beta's rounding.
+        from scipy.linalg import solve_triangular
+
+        spec = DesignSpec(300, 12, structure, rho)
+        x = sample_design(spec, RngSeed(14))
+        z = RngSeed(14).generator().standard_normal((300, 12))
+        chol = np.linalg.cholesky(precision_matrix(spec))
+        expected = solve_triangular(chol, z.T, trans="T", lower=True).T
+        # the atol covers entries near zero under another BLAS's rounding
+        np.testing.assert_allclose(
+            x, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max()
+        )
+        assert x.flags.c_contiguous
+
 
 class TestSampleResponse:
     def test_null_model(self):
