@@ -248,10 +248,13 @@ def _run_selection(args, dataset: Dataset):
 
 def _cmd_select(args, out_dir: Path) -> None:
     dataset = load_csv(args.data, args.response)
-    result = _run_selection(args, dataset)
-    write_json(result.to_json_dict(), out_dir / "result.json")
+    truth = None
     if args.truth is not None:
         truth = load_truth(args.truth)
+        evaluate((), truth, dataset.p)  # a bad truth fails before the fit
+    result = _run_selection(args, dataset)
+    write_json(result.to_json_dict(), out_dir / "result.json")
+    if truth is not None:
         metrics = evaluate(result.selected, truth, dataset.p)
         write_json(asdict(metrics), out_dir / "metrics.json")
     print(
@@ -322,6 +325,7 @@ def _cmd_benchmark(args, out_dir: Path) -> None:
 def _cmd_roc(args, out_dir: Path) -> None:
     dataset = load_csv(args.data, args.response)
     truth = load_truth(args.truth)
+    roc_curve(numpy.zeros(dataset.p), truth)  # a bad truth fails before the fit
     result = _run_selection(args, dataset)
     curve = roc_curve(result.stats.m, truth)
     write_roc_csv(curve, out_dir / "roc_points.csv")

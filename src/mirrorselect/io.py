@@ -10,6 +10,7 @@ import csv
 import json
 import logging
 import math
+import warnings
 from array import array
 from pathlib import Path
 
@@ -49,15 +50,83 @@ def _resolve_response_column(header, response, path) -> int:
     )
 
 
+def _parse_fast(fh, n_cols: int):
+    """Parse the rest of ``fh`` with numpy's C reader, or None if unsure.
+
+    ``np.loadtxt`` converts a cell exactly as ``float()`` does when both
+    accept it, but it rejects some cells ``float()`` accepts (``1_000``,
+    non-ASCII digits, quoted cells), skips blank lines, and accepts nan,
+    inf and numbers padded with the ASCII separators ``\\x1c``-``\\x1f``.
+    So any such character, parse error or warning, fewer rows than the
+    lines it was fed, a row width other than the header's, or a
+    non-finite value returns None, and the caller reparses row by row.
+    """
+    lines = 0
+
+    def counted():
+        nonlocal lines
+        for line in fh:
+            if any(sep in line for sep in "\x1c\x1d\x1e\x1f"):
+                raise ValueError("ASCII separator in a data line")
+            lines += 1
+            yield line
+
+    with warnings.catch_warnings():
+        # an empty or all-blank body parses to no rows, with a warning
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(counted(), delimiter=",", dtype=float, ndmin=2,
+                                comments=None)
+        except (ValueError, Warning):
+            return None
+    if values.shape != (lines, n_cols) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_rows(reader, header, path) -> np.ndarray:
+    """Parse data rows one by one, naming the first bad cell in file order."""
+    # Each row's cell strings are dropped once parsed: holding every row's
+    # (~30 MB on a 4000x101 file) would set the process's peak RSS.
+    flat = array("d")
+    for i, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise InvalidDataError(
+                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise InvalidDataError(
+                    f"{path}: row {i}, column {header[j]!r}: "
+                    f"cannot parse {cell.strip()!r} as a number"
+                ) from None
+            if not math.isfinite(v):
+                raise InvalidDataError(
+                    f"{path}: row {i}, column {header[j]!r}: "
+                    f"non-finite value {cell.strip()!r}"
+                )
+            flat.append(v)
+    return np.array(flat).reshape(-1, len(header))
+
+
 def load_csv(path, response="y") -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
     ``response`` names the response column; a header name is looked up
     first, and an integer (or all-digit string) falls back to a 0-based
-    column position.  Every other column is a feature.  Parse failures
-    name the offending cell by data row (1-based) and column name.
-    Constant feature columns are logged at WARNING; they stay in the
-    dataset but downstream selection never scores them.
+    column position.  Every other column is a feature.  Every data cell
+    must be a finite number as ``float()`` reads it.  Parse failures
+    (blank or ragged rows, unparsable or non-finite cells) name the first
+    offending row (1-based) and, for a cell, its column name.  Constant
+    feature columns are logged at WARNING; they stay in the dataset but
+    downstream selection never scores them.
+
+    The body is parsed with ``np.loadtxt`` in one pass.  Where it cannot
+    vouch for the file, the rows are parsed again one by one with
+    ``csv`` and ``float()``, which give the same values and name the
+    error.
     """
     path = Path(path)
     try:
@@ -75,33 +144,16 @@ def load_csv(path, response="y") -> Dataset:
             y_col = _resolve_response_column(header, response, path)
             if len(header) < 2:
                 raise InvalidDataError(f"{path}: need at least one feature column")
-            # Row by row into one flat buffer: every row's cell strings held
-            # at once (~30 MB on a 4000x101 file) set the process's peak RSS.
-            flat = array("d")
-            for i, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise InvalidDataError(
-                        f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-                    )
-                for j, cell in enumerate(row):
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise InvalidDataError(
-                            f"{path}: row {i}, column {header[j]!r}: "
-                            f"cannot parse {cell.strip()!r} as a number"
-                        ) from None
-                    if not math.isfinite(v):
-                        raise InvalidDataError(
-                            f"{path}: row {i}, column {header[j]!r}: "
-                            f"non-finite value {cell.strip()!r}"
-                        )
-                    flat.append(v)
+            values = _parse_fast(fh, len(header))
+            if values is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                values = _parse_rows(reader, header, path)
     except OSError as err:
         raise InvalidDataError(f"cannot read {path}: {err}") from err
-    if not flat:
+    if not len(values):
         raise InvalidDataError(f"{path}: no data rows")
-    values = np.array(flat).reshape(-1, len(header))
 
     feature_cols = [j for j in range(len(header)) if j != y_col]
     names = tuple(header[j] for j in feature_cols)

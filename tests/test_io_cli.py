@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mirrorselect.io as csv_io
 from mirrorselect import (
     ConfigurationError,
     Dataset,
@@ -136,9 +137,12 @@ class TestLoadCsv:
         write_dataset_csv(ds, tmp_path / "round.csv")
         back = load_csv(tmp_path / "round.csv")
         # %.17g formatting reproduces doubles exactly
-        np.testing.assert_allclose(back.x, ds.x, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(back.y, ds.y, rtol=0, atol=1e-15)
+        assert np.array_equal(back.x, ds.x)
+        assert np.array_equal(back.y, ds.y)
         assert back.names == ds.names
+        # results depend on the design's memory layout, so it must not move
+        # (see test_results_do_not_depend_on_memory_layout)
+        assert back.x.flags.f_contiguous
 
     def test_dataset_csv_bytes_match_per_cell_writer(self, tmp_path):
         def per_cell(dataset, path):
@@ -162,6 +166,79 @@ class TestLoadCsv:
         per_cell(ds, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert (tmp_path / "fast.csv").read_bytes().startswith(b'"a,b",c1,"q""t"')
+
+
+# Cells on which numpy's reader and float() may disagree.
+_ODD_CELLS = [
+    "", " ", "1_000", "\u0661", '"1.5"', "  2.5  ", "+.5", "1.", ".", "1e",
+    "0x1p3", "1d5", "#1", "nan", "NaN", "inf", "Infinity", "1e400", "1e-400",
+    "\x1c1", "1\x1f", "\x0c1", "1\x85", "\uff11",
+]
+_LAYOUTS = {
+    "lf": "a,b,y\n1,2,3\n4,5,6\n",
+    "crlf": "a,b,y\r\n1,2,3\r\n4,5,6\r\n",
+    "lone-cr": "a,b,y\r1,2,3\r4,5,6\r",
+    "no-final-newline": "a,b,y\n1,2,3\n4,5,6",
+    "quoted-newline-in-header": '"a\nb",b,y\n1,2,3\n4,5,6\n',
+    "blank-mid": "a,b,y\n1,2,3\n\n4,5,6\n",
+    "blank-end": "a,b,y\n1,2,3\n4,5,6\n\n",
+    "blank-mid-crlf": "a,b,y\r\n1,2,3\r\n\r\n4,5,6\r\n",
+    "blank-end-crlf": "a,b,y\r\n1,2,3\r\n4,5,6\r\n\r\n",
+    "blank-only-body": "a,b,y\n\n",
+    "whitespace-line": "a,b,y\n1,2,3\n   \n4,5,6\n",
+    "every-row-short": "a,b,y\n1,2\n4,5\n",
+    "lone-cr-and-blank": "a,b,y\n1,2,3\r4,5,6\n\n7,8,9\n",
+}
+# Files the fast path must serve without reparsing row by row.
+_FAST = {"lf", "crlf", "lone-cr", "no-final-newline", "quoted-newline-in-header"}
+
+
+def _load_or_message(path):
+    try:
+        return load_csv(path)
+    except InvalidDataError as err:
+        return str(err)
+
+
+class TestLoadCsvFastPath:
+    """load_csv parses with np.loadtxt and falls back to its row parser
+    wherever the two could differ; either way the outcome is the row
+    parser's."""
+
+    def _assert_same_as_row_parser(self, path, monkeypatch):
+        fast = _load_or_message(path)
+        with monkeypatch.context() as m:
+            m.setattr(csv_io, "_parse_fast", lambda *args: None)
+            rows = _load_or_message(path)
+        if isinstance(rows, str):
+            assert fast == rows
+        else:
+            assert not isinstance(fast, str), fast
+            assert np.array_equal(fast.x, rows.x)
+            assert np.array_equal(fast.y, rows.y)
+            assert fast.names == rows.names
+            assert fast.x.flags.f_contiguous == rows.x.flags.f_contiguous
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("cell", _ODD_CELLS)
+    def test_cell_matches_row_parser(self, tmp_path, monkeypatch, cell, newline):
+        text = newline.join(["a,b,y", "1,2,3", f"4,{cell},6", "7,8,9", ""])
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        self._assert_same_as_row_parser(path, monkeypatch)
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_layout_matches_row_parser(self, tmp_path, monkeypatch, layout):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_LAYOUTS[layout].encode("utf-8"))
+        self._assert_same_as_row_parser(path, monkeypatch)
+
+    @pytest.mark.parametrize("layout", sorted(_FAST))
+    def test_clean_file_skips_row_parser(self, tmp_path, monkeypatch, layout):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_LAYOUTS[layout].encode("utf-8"))
+        monkeypatch.setattr(csv_io, "_parse_rows", None)
+        np.testing.assert_array_equal(load_csv(path).y, [3, 6])
 
 
 class TestLoadTruth:
@@ -465,6 +542,36 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "InvalidDataError"
         assert record["exit_code"] == 3
+
+    @pytest.mark.parametrize(
+        "command, support, message",
+        [
+            ("select", [0, 9], "truth indices out of range: [9]"),
+            ("roc", [0, 9], "truth indices out of range"),
+            ("roc", [0, 1, 2, 3, 4],
+             "truth must be a nonempty proper subset of the features"),
+        ],
+        ids=["select-range", "roc-range", "roc-all-features"],
+    )
+    def test_bad_truth_exits_3_before_the_fit(self, tmp_path, capsys, monkeypatch,
+                                              command, support, message):
+        sim = _simulate(tmp_path, "sim11")
+
+        def no_fit(*args):
+            raise AssertionError("the selection ran before the truth was checked")
+
+        monkeypatch.setattr("mirrorselect.cli._run_selection", no_fit)
+        write_json({"support": support}, tmp_path / "truth.json")
+        out = tmp_path / "bad-truth"
+        code = main([command, "--data", str(sim / "dataset.csv"),
+                     "--truth", str(tmp_path / "truth.json"), *SELECT_FLAGS,
+                     "--out", str(out)])
+        capsys.readouterr()
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["message"] == message
+        # nothing was fitted, so nothing but the error was written
+        assert sorted(os.listdir(out)) == ["error.json"]
 
     def test_bad_q_exits_2(self, tmp_path, capsys):
         sim = _simulate(tmp_path, "sim4")
