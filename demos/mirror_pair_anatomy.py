@@ -10,11 +10,7 @@ actually did to the pair geometry.
 import numpy as np
 
 from mirrorselect.dataset import Dataset
-from mirrorselect.kernelmeasure import (
-    GramTriple,
-    KernelSpec,
-    conditional_dependence,
-)
+from mirrorselect.kernelmeasure import KernelSpec, conditional_dependence
 from mirrorselect.mirror import make_mirror
 from mirrorselect.rng import RngSeed
 
@@ -28,9 +24,9 @@ def describe(pair, x, others):
     print(f"  reconstruction max |(u+v)/2 - x| = "
           f"{np.abs((u + v) / 2.0 - x).max():.2e}")
     # dependence of the pair given the rest, at the chosen scale
-    triple = GramTriple.from_data(u - u.mean(), v - v.mean(), others,
-                                  KernelSpec("linear"))
-    print(f"  measure at c* = {conditional_dependence(triple):.3e}")
+    measure = conditional_dependence(u - u.mean(), v - v.mean(), others,
+                                     KernelSpec("linear"))
+    print(f"  measure at c* = {measure:.3e}")
 
 
 def main():

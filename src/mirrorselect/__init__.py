@@ -32,7 +32,6 @@ from .io import (
 )
 from .kernelmeasure import (
     CMinimizationResult,
-    GramTriple,
     KernelSpec,
     SearchConfig,
     conditional_dependence,
@@ -91,7 +90,6 @@ __all__ = [
     "Dataset",
     "DegeneratePerturbationError",
     "DesignSpec",
-    "GramTriple",
     "InvalidDataError",
     "KernelSpec",
     "Metrics",

@@ -116,11 +116,12 @@ def load_csv(path, response="y") -> Dataset:
 
     ``response`` names the response column; a header name is looked up
     first, and an integer (or all-digit string) falls back to a 0-based
-    column position.  Every other column is a feature.  Every data cell
-    must be a finite number as ``float()`` reads it.  Parse failures
-    (blank or ragged rows, unparsable or non-finite cells) name the first
-    offending row (1-based) and, for a cell, its column name.  Constant
-    feature columns are logged at WARNING; they stay in the dataset but
+    column position.  Every other column is a feature.  The file must be
+    UTF-8 (a byte order mark is skipped), and every data cell a finite
+    number as ``float()`` reads it.  Parse failures (blank or ragged
+    rows, unparsable or non-finite cells) name the first offending row
+    (1-based) and, for a cell, its column name.  Constant feature
+    columns are logged at WARNING; they stay in the dataset but
     downstream selection never scores them.
 
     The body is parsed with ``np.loadtxt`` in one pass.  Where it cannot
@@ -130,7 +131,7 @@ def load_csv(path, response="y") -> Dataset:
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -150,6 +151,11 @@ def load_csv(path, response="y") -> Dataset:
                 reader = csv.reader(fh)
                 next(reader)
                 values = _parse_rows(reader, header, path)
+    except UnicodeDecodeError as err:
+        # _parse_fast gives up on it, and the header or row parser raises it
+        raise InvalidDataError(
+            f"{path}: not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}"
+        ) from None
     except OSError as err:
         raise InvalidDataError(f"cannot read {path}: {err}") from err
     if not len(values):

@@ -12,11 +12,11 @@ minimizes the squared measure between u = x + c z and v = x - c z given
 W.  For linear kernels that minimizer has a closed form; for other
 kernels a bracketed golden-section search is used.
 
-Inputs are validated once, at the public entry points; the private
-``_gram``, ``_center`` and ``_dependence`` behind them trust their
-arguments.  ``_center`` double-centers an exactly symmetric matrix in
-place, so ``_dependence`` overwrites the K_U and K_V it is given, and
-``conditional_dependence`` hands it copies.  The non-linear c-search
+Both public entry points, ``conditional_dependence`` and ``minimize_c``,
+take data and validate it once; the private ``_gram``, ``_center`` and
+``_dependence`` behind them trust their arguments.  ``_center``
+double-centers an exactly symmetric matrix in place, so ``_dependence``
+overwrites the K_U and K_V it is given.  The non-linear c-search
 builds one ``_Objective`` per feature.  It holds K_W with its magnitude,
 the bound c_max, and, for the gaussian family, the pairwise differences
 of x and of z scaled by the bandwidth resolved from x (x and z for the
@@ -177,16 +177,16 @@ def _gram_w(w_block: np.ndarray, spec: KernelSpec, n: int) -> np.ndarray:
     return gram_matrix(w_block, spec)
 
 
-def _check_square_symmetric(k: np.ndarray, label: str) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise InvalidDataError(f"{label} must be square, got shape {k.shape}")
-    if not np.all(np.isfinite(k)):
-        raise InvalidDataError(f"{label} contains non-finite values")
-    scale = np.abs(k).max() if k.size else 0.0
-    if not np.allclose(k, k.T, atol=1e-8 * max(scale, 1.0), rtol=0.0):
-        raise InvalidDataError(f"{label} is not symmetric")
-    return k
+def _conditioning_block(w, n: int) -> np.ndarray:
+    """w as a finite n-row conditioning block (zero columns when None)."""
+    if w is None:
+        return np.empty((n, 0))
+    w_block = _as_block(w, "conditioning block")
+    if w_block.shape[0] != n:
+        raise InvalidDataError(
+            f"conditioning block has {w_block.shape[0]} rows, expected {n}"
+        )
+    return w_block
 
 
 def _center(k: np.ndarray) -> None:
@@ -200,43 +200,6 @@ def _center(k: np.ndarray) -> None:
 def _magnitude(k: np.ndarray) -> float:
     """max |k| without an |k| temporary."""
     return max(float(k.max()), -float(k.min()))
-
-
-@dataclass(frozen=True)
-class GramTriple:
-    """The three Gram matrices entering the dependence measure.
-
-    This is the one place a triple is validated: each matrix must be
-    square, finite and symmetric, and the three must agree in shape.
-    ``conditional_dependence`` trusts a constructed triple.  Positive
-    semidefiniteness (up to roundoff) is the producer's contract: any
-    valid kernel yields it, and checking eigenvalues on every
-    construction would dominate the cost of the measure itself.
-    """
-
-    k_u: np.ndarray
-    k_v: np.ndarray
-    k_w: np.ndarray
-
-    def __post_init__(self):
-        k_u = _check_square_symmetric(self.k_u, "k_u")
-        k_v = _check_square_symmetric(self.k_v, "k_v")
-        k_w = _check_square_symmetric(self.k_w, "k_w")
-        if not (k_u.shape == k_v.shape == k_w.shape):
-            raise InvalidDataError(
-                f"gram matrices disagree in shape: {k_u.shape}, {k_v.shape}, {k_w.shape}"
-            )
-        object.__setattr__(self, "k_u", k_u)
-        object.__setattr__(self, "k_v", k_v)
-        object.__setattr__(self, "k_w", k_w)
-
-    @classmethod
-    def from_data(cls, u, v, w, spec: KernelSpec) -> "GramTriple":
-        """Build the triple from raw blocks.  ``w`` may have zero columns,
-        in which case K_W is the all-ones matrix (conditioning on nothing)."""
-        k_u = gram_matrix(u, spec)
-        k_v = gram_matrix(v, spec)
-        return cls(k_u, k_v, _gram_w(_as_block(w), spec, k_u.shape[0]))
 
 
 def _dependence(
@@ -260,20 +223,24 @@ def _dependence(
     return max(value, 0.0)
 
 
-def conditional_dependence(grams: GramTriple) -> float:
-    """Nonnegative scalar dependence between U and V given W.
+def conditional_dependence(
+    u, v, w=None, spec: KernelSpec = KernelSpec("linear")
+) -> float:
+    """Nonnegative scalar dependence between the blocks u and v given w.
 
-    Zero (up to floating point) when U or V is constant across rows, and
-    invariant to any simultaneous permutation of the rows of all three
-    blocks.  The triple is left as it is: the measure centers exactly
-    symmetric copies of K_U and K_V.
+    Each block is a column or a 2-d array of rows; a ``w`` that is None
+    or has zero columns conditions on nothing (K_W is all ones).  Each
+    Gram uses ``spec``, an unset gaussian bandwidth resolved from its own
+    block.  Zero (up to floating point) when u or v is constant across
+    rows, and unchanged when the rows of all three blocks are permuted alike.
     """
-    return _dependence(
-        (grams.k_u + grams.k_u.T) / 2.0,
-        (grams.k_v + grams.k_v.T) / 2.0,
-        grams.k_w,
-        _magnitude(grams.k_w),
-    )
+    k_u = gram_matrix(u, spec)
+    k_v = gram_matrix(v, spec)
+    n = k_u.shape[0]
+    if k_v.shape[0] != n:
+        raise InvalidDataError(f"u has {n} rows and v has {k_v.shape[0]}")
+    k_w = _gram_w(_conditioning_block(w, n), spec, n)
+    return _dependence(k_u, k_v, k_w, _magnitude(k_w))
 
 
 @dataclass(frozen=True)
@@ -327,14 +294,7 @@ def _search_inputs(x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = x.shape[0]
     if z.shape[0] != n:
         raise InvalidDataError(f"x and z disagree in length: {n} vs {z.shape[0]}")
-    if w is None:
-        return x, z, np.empty((n, 0))
-    w_block = _as_block(w, "conditioning block")
-    if w_block.shape[0] != n:
-        raise InvalidDataError(
-            f"conditioning block has {w_block.shape[0]} rows, expected {n}"
-        )
-    return x, z, w_block
+    return x, z, _conditioning_block(w, n)
 
 
 def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizationResult:

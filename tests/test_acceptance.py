@@ -21,12 +21,7 @@ from scipy.stats import binomtest
 import mirrorselect.simulate as ms
 from mirrorselect.cli import main
 from mirrorselect.dataset import Dataset
-from mirrorselect.kernelmeasure import (
-    GramTriple,
-    KernelSpec,
-    conditional_dependence,
-    minimize_c,
-)
+from mirrorselect.kernelmeasure import KernelSpec, conditional_dependence, minimize_c
 from mirrorselect.mirror import make_all_mirrors
 from mirrorselect.neuralnet import (
     NetConfig,
@@ -108,7 +103,7 @@ def test_criterion_1_measure_matches_double_sum(capsys):
             v = gen.standard_normal(n)
             d_w = int(gen.integers(0, 4))
             w = gen.standard_normal((n, d_w))
-            impl = conditional_dependence(GramTriple.from_data(u, v, w, spec))
+            impl = conditional_dependence(u, v, w, spec)
             k_u = _naive_gram([[x] for x in u], spec)
             k_v = _naive_gram([[x] for x in v], spec)
             if d_w == 0:
@@ -133,8 +128,7 @@ def _golden_section(x, z, w):
     zc = z - z.mean()
 
     def objective(c):
-        triple = GramTriple.from_data(xc + c * zc, xc - c * zc, w, LINEAR)
-        return conditional_dependence(triple) ** 2
+        return conditional_dependence(xc + c * zc, xc - c * zc, w, LINEAR) ** 2
 
     hi = 10.0 * np.linalg.norm(x) / np.linalg.norm(z)
     ratio = (math.sqrt(5.0) - 1.0) / 2.0

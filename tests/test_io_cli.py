@@ -122,6 +122,37 @@ class TestLoadCsv:
         with pytest.raises(InvalidDataError, match="cannot read"):
             load_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "head, body",
+        [
+            (b"a,\xff,y\n", b"1,2,3\n"),
+            (b"a,b,y\n", b"1,2,3\n4,\xff,6\n"),
+            # past the first decoded chunk: the fast parser meets it first
+            (b"a,b,y\n", b"1,2,3\n" * 5000 + b"4,\xff,6\n"),
+        ],
+        ids=["header", "body", "late-body"],
+    )
+    def test_non_utf8_bytes_are_invalid_data(self, tmp_path, head, body):
+        path = tmp_path / "d.csv"
+        path.write_bytes(head + body)
+        with pytest.raises(InvalidDataError, match=r"d\.csv: not UTF-8 text: .*0xff"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("parser", ["fast", "rows"])
+    def test_byte_order_mark_is_not_part_of_the_header(
+        self, tmp_path, monkeypatch, parser
+    ):
+        path = tmp_path / "d.csv"
+        cell = "4" if parser == "fast" else "1_000"
+        path.write_bytes(f"\ufeffy,x0,x1\n3,1,2\n6,{cell},5\n".encode("utf-8"))
+        if parser == "fast":
+            monkeypatch.setattr(csv_io, "_parse_rows", None)
+        ds = load_csv(path)
+        assert ds.names == ("x0", "x1")
+        assert ds.response_name == "y"
+        np.testing.assert_array_equal(ds.y, [3, 6])
+        np.testing.assert_array_equal(ds.x, [[1, 2], [float(cell), 5]])
+
     def test_constant_column_warns(self, tmp_path, caplog):
         path = _write(tmp_path / "d.csv", "a,b,y\n1,7,3\n2,7,4\n")
         with caplog.at_level(logging.WARNING, logger="mirrorselect"):
@@ -542,6 +573,22 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "InvalidDataError"
         assert record["exit_code"] == 3
+
+    @pytest.mark.parametrize("command", ["select", "roc"])
+    def test_non_utf8_data_exits_3(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,y\n1,2,3\n4,\xff,6\n7,8,9\n")
+        write_json({"support": [0]}, tmp_path / "truth.json")
+        out = tmp_path / "x"
+        code = main([command, "--data", str(path),
+                     "--truth", str(tmp_path / "truth.json"), *SELECT_FLAGS,
+                     "--out", str(out)])
+        capsys.readouterr()
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "InvalidDataError"
+        assert "latin1.csv: not UTF-8 text" in record["message"]
+        assert sorted(os.listdir(out)) == ["error.json"]
 
     @pytest.mark.parametrize(
         "command, support, message",

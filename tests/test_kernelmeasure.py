@@ -8,7 +8,6 @@ import pytest
 from mirrorselect import (
     ConfigurationError,
     DegeneratePerturbationError,
-    GramTriple,
     InvalidDataError,
     KernelSpec,
     NumericalError,
@@ -96,8 +95,9 @@ def test_median_heuristic_degenerate_rows():
 
 
 def test_dependence_n1_is_zero():
-    triple = GramTriple(np.array([[2.0]]), np.array([[3.0]]), np.array([[4.0]]))
-    assert conditional_dependence(triple) == 0.0
+    one = np.array([[2.0, 3.0]])
+    for spec in (LINEAR, KernelSpec("gaussian"), KernelSpec("polynomial", degree=3)):
+        assert conditional_dependence(one, one + 1.0, one - 1.0, spec) == 0.0
 
 
 def test_dependence_constant_block_is_zero(gen):
@@ -105,8 +105,7 @@ def test_dependence_constant_block_is_zero(gen):
     u = np.full(n, 2.0)
     v = gen.standard_normal(n)
     w = gen.standard_normal((n, 3))
-    triple = GramTriple.from_data(u, v, w, LINEAR)
-    assert conditional_dependence(triple) == 0.0
+    assert conditional_dependence(u, v, w, LINEAR) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -119,9 +118,10 @@ def test_dependence_matches_naive_double_sum(gen, spec):
         u = gen.standard_normal(n)
         v = 0.6 * u + gen.standard_normal(n)
         w = gen.standard_normal((n, 2))
-        triple = GramTriple.from_data(u, v, w, spec)
-        fast = conditional_dependence(triple)
-        slow = naive_conditional_dependence(triple.k_u, triple.k_v, triple.k_w)
+        fast = conditional_dependence(u, v, w, spec)
+        slow = naive_conditional_dependence(
+            gram_matrix(u, spec), gram_matrix(v, spec), gram_matrix(w, spec)
+        )
         np.testing.assert_allclose(fast, max(slow, 0.0), rtol=1e-10, atol=1e-12)
 
 
@@ -130,38 +130,68 @@ def test_dependence_permutation_invariant(gen):
     u = gen.standard_normal(n)
     v = gen.standard_normal(n)
     w = gen.standard_normal((n, 2))
-    base = conditional_dependence(GramTriple.from_data(u, v, w, LINEAR))
+    base = conditional_dependence(u, v, w, LINEAR)
     perm = gen.permutation(n)
-    shuffled = conditional_dependence(
-        GramTriple.from_data(u[perm], v[perm], w[perm], LINEAR)
-    )
+    shuffled = conditional_dependence(u[perm], v[perm], w[perm], LINEAR)
     np.testing.assert_allclose(shuffled, base, rtol=1e-12)
 
 
-def test_gram_triple_shape_mismatch(gen):
-    a = gen.standard_normal((4, 4))
-    b = gen.standard_normal((5, 5))
-    with pytest.raises(InvalidDataError):
-        GramTriple(a + a.T, a + a.T, b + b.T)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LINEAR,
+        KernelSpec("gaussian"),
+        KernelSpec("gaussian", bandwidth=0.7),
+        KernelSpec("polynomial", degree=3, offset=0.5),
+    ],
+    ids=["linear", "gaussian", "gaussian-bandwidth", "polynomial"],
+)
+@pytest.mark.parametrize("d_u, d_v", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_dependence_is_the_measure_on_the_public_grams(gen, spec, d_u, d_v):
+    # bitwise: the same Grams, centered and summed in the same order
+    for n in (2, 17, 40):
+        u = gen.standard_normal((n, d_u))
+        v = gen.standard_normal((n, d_v))
+        w = gen.standard_normal((n, 3))
+        k_w = gram_matrix(w, spec)
+        expect = kernelmeasure._dependence(
+            gram_matrix(u, spec),
+            gram_matrix(v, spec),
+            k_w,
+            kernelmeasure._magnitude(k_w),
+        )
+        assert conditional_dependence(u, v, w, spec) == expect
 
 
-@pytest.mark.parametrize("slot", ["k_u", "k_v", "k_w"])
-def test_gram_triple_rejects_non_square_and_asymmetric(gen, slot):
-    bad = {
-        "must be square": gen.standard_normal((2, 3)),
-        "is not symmetric": np.array([[0.0, 1.0], [5.0, 0.0]]),
-    }
-    for reason, k in bad.items():
-        grams = {"k_u": np.eye(2), "k_v": np.eye(2), "k_w": np.eye(2), slot: k}
-        with pytest.raises(InvalidDataError, match=f"{slot} {reason}"):
-            GramTriple(**grams)
-
-
-def test_gram_triple_empty_w_is_ones(gen):
-    n = 6
+def test_dependence_conditioning_on_nothing(gen):
+    # no w, a zero-column w, and a constant column under the gaussian
+    # kernel all give the all-ones K_W
+    n = 12
     u = gen.standard_normal(n)
-    triple = GramTriple.from_data(u, -u, np.empty((n, 0)), LINEAR)
-    np.testing.assert_array_equal(triple.k_w, np.ones((n, n)))
+    v = u + gen.standard_normal(n)
+    spec = KernelSpec("gaussian")
+    none = conditional_dependence(u, v, None, spec)
+    assert none > 0.0
+    assert conditional_dependence(u, v, np.empty((n, 0)), spec) == none
+    assert conditional_dependence(u, v, np.full((n, 1), 3.0), spec) == none
+
+
+def test_dependence_overflow_is_numerical_error(gen):
+    # as in minimize_c: an overflowing kernel is a computation failure
+    # (exit 4), not malformed input
+    u, v, w = 100.0 * gen.standard_normal((3, 12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            conditional_dependence(u, v, w, KernelSpec("polynomial", degree=400))
+
+
+def test_conditional_dependence_leaves_its_inputs_unchanged(gen):
+    u, v, w = gen.standard_normal((3, 15, 2))
+    before = [a.copy() for a in (u, v, w)]
+    first = conditional_dependence(u, v, w, KernelSpec("gaussian"))
+    assert conditional_dependence(u, v, w, KernelSpec("gaussian")) == first
+    for a, kept in zip((u, v, w), before):
+        np.testing.assert_array_equal(a, kept)
 
 
 # --------------------------------------------------------- closed-form c*
@@ -234,8 +264,7 @@ def _golden_section_oracle(x, z, w, lo=0.0, hi=None):
     zc = z - z.mean()
 
     def objective(c):
-        triple = GramTriple.from_data(xc + c * zc, xc - c * zc, w, LINEAR)
-        return conditional_dependence(triple) ** 2
+        return conditional_dependence(xc + c * zc, xc - c * zc, w, LINEAR) ** 2
 
     if hi is None:
         hi = 10.0 * np.linalg.norm(x) / np.linalg.norm(z)
@@ -281,9 +310,7 @@ def test_minimize_c_gaussian_dense_grid_oracle(gen):
     k_w = gram_matrix(w, spec)
 
     def objective(c):
-        k_u = gram_matrix(x + c * z, spec)
-        k_v = gram_matrix(x - c * z, spec)
-        return conditional_dependence(GramTriple(k_u, k_v, k_w)) ** 2
+        return conditional_dependence(x + c * z, x - c * z, w, spec) ** 2
 
     def gaussian(cols):
         d = cols[:, :, None] - cols[:, None, :]
@@ -312,12 +339,8 @@ def test_minimize_c_local_minimum_probes(gen, spec):
     w = gen.standard_normal((n, 3))
     res = minimize_c(x, z, w, spec)
 
-    k_w = gram_matrix(w, spec)
-
     def objective(c):
-        k_u = gram_matrix(x + c * z, spec)
-        k_v = gram_matrix(x - c * z, spec)
-        return conditional_dependence(GramTriple(k_u, k_v, k_w)) ** 2
+        return conditional_dependence(x + c * z, x - c * z, w, spec) ** 2
 
     got = objective(res.c_star)
     slack = 1e-9 * max(got, 1e-300)
@@ -361,8 +384,8 @@ def test_even_objective_flat_gradient_at_minimizer(gen):
         zc = z - z.mean()
 
         def big_g(c):
-            triple = GramTriple.from_data(xc + c * zc, xc - c * zc, w, LINEAR)
-            return n * n * conditional_dependence(triple) ** 2
+            value = conditional_dependence(xc + c * zc, xc - c * zc, w, LINEAR)
+            return n * n * value**2
 
         # G is even in c (negative c swaps the mirrored halves), so the
         # central difference is valid through c = 0
@@ -395,8 +418,15 @@ def _malformed_search_inputs():
     [
         lambda x, z, w: minimize_c(x, z, w, LINEAR),
         lambda x, z, w: minimize_c(x, z, w, KernelSpec("gaussian")),
+        lambda u, v, w: conditional_dependence(u, v, w, LINEAR),
+        lambda u, v, w: conditional_dependence(u, v, w, KernelSpec("gaussian")),
     ],
-    ids=["minimize_c_linear", "minimize_c_gaussian"],
+    ids=[
+        "minimize_c_linear",
+        "minimize_c_gaussian",
+        "conditional_dependence_linear",
+        "conditional_dependence_gaussian",
+    ],
 )
 def test_c_search_rejects_malformed_inputs(case, search):
     x, z, w = _malformed_search_inputs()[case]
@@ -415,9 +445,11 @@ def test_minimize_c_overflow_is_numerical_error(gen):
 
 
 class _PublicObjective:
-    """minimize_c's objective through the public, validating API,
-    resolved as minimize_c's docstring says: an unset gaussian bandwidth
-    from x for both halves, and from w for K_W (all ones without w)."""
+    """minimize_c's objective from the public Grams, resolved as
+    minimize_c's docstring says: an unset gaussian bandwidth from x for
+    both halves, and from w for K_W (all ones without w).  One spec
+    cannot say that to ``conditional_dependence``, so the Grams come
+    from ``gram_matrix`` and the measure from its private core."""
 
     def __init__(self, x, z, w, spec):
         n = x.shape[0]
@@ -435,12 +467,11 @@ class _PublicObjective:
         self.z = z
 
     def __call__(self, c):
-        value = conditional_dependence(
-            GramTriple(
-                gram_matrix(self.x + c * self.z, self.spec),
-                gram_matrix(self.x - c * self.z, self.spec),
-                self.k_w,
-            )
+        value = kernelmeasure._dependence(
+            gram_matrix(self.x + c * self.z, self.spec),
+            gram_matrix(self.x - c * self.z, self.spec),
+            self.k_w,
+            kernelmeasure._magnitude(self.k_w),
         )
         return value * value
 
@@ -464,20 +495,31 @@ def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
     z = gen.standard_normal(n)
     w = gen.standard_normal((n, 2))
     checks = []
-    check = kernelmeasure._check_square_symmetric
+    check = kernelmeasure._as_block
 
-    def counting_check(k, label):
+    def counting_check(data, label="kernel input"):
         checks.append(label)
-        return check(k, label)
+        return check(data, label)
 
-    monkeypatch.setattr(kernelmeasure, "_check_square_symmetric", counting_check)
-    res = minimize_c(x, z, w, KernelSpec("gaussian"))
-    assert res.evaluations > 10
-    assert checks == []
+    monkeypatch.setattr(kernelmeasure, "_as_block", counting_check)
+    spec = KernelSpec("gaussian")
+    short = minimize_c(x, z, w, spec, SearchConfig(bracket_points=3, tol_factor=0.1))
+    per_search = len(checks)
+    res = minimize_c(x, z, w, spec)
+    assert res.evaluations > 5 * short.evaluations
+    # the search validates its inputs, not each evaluation
+    assert len(checks) == 2 * per_search
 
-    # the public path validates all three matrices on every evaluation
-    _assert_is_the_public_search(res, x, z, w, KernelSpec("gaussian"))
-    assert len(checks) == 3 * res.evaluations
+    # the public measure validates its blocks on every call
+    checks.clear()
+    conditional_dependence(x, z, w, spec)
+    per_call = len(checks)
+    assert per_call > 0
+    for _ in range(4):
+        conditional_dependence(x, z, w, spec)
+    assert len(checks) == 5 * per_call
+
+    _assert_is_the_public_search(res, x, z, w, spec)
 
 
 @pytest.mark.parametrize(
@@ -516,16 +558,6 @@ def test_c_search_matches_the_public_search_battery(seed, family):
         else:
             spec = KernelSpec("polynomial", degree=int(family[-1]))
         _assert_is_the_public_search(minimize_c(x, z, w, spec), x, z, w, spec)
-
-
-def test_conditional_dependence_leaves_the_triple_unchanged(gen):
-    u, v, w = gen.standard_normal((3, 15, 2))
-    triple = GramTriple.from_data(u, v, w, KernelSpec("gaussian"))
-    before = [k.copy() for k in (triple.k_u, triple.k_v, triple.k_w)]
-    first = conditional_dependence(triple)
-    assert conditional_dependence(triple) == first
-    for k, kept in zip((triple.k_u, triple.k_v, triple.k_w), before):
-        np.testing.assert_array_equal(k, kept)
 
 
 @pytest.mark.parametrize(

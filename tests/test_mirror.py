@@ -9,7 +9,6 @@ from mirrorselect import (
     Dataset,
     DegeneratePerturbationError,
     DesignSpec,
-    GramTriple,
     KernelSpec,
     ModelSpec,
     RngSeed,
@@ -33,8 +32,7 @@ def _dataset(gen, n=60, p=6):
 
 
 def _measure_sq(pair, w):
-    triple = GramTriple.from_data(pair.x_plus, pair.x_minus, w, LINEAR)
-    return conditional_dependence(triple) ** 2
+    return conditional_dependence(pair.x_plus, pair.x_minus, w, LINEAR) ** 2
 
 
 def test_determinism_bitwise(gen):
@@ -100,8 +98,7 @@ def test_recovered_c_matches_dense_grid(gen):
     x = ds.x[:, 2]
 
     def objective(c):
-        triple = GramTriple.from_data(x + c * pair.z, x - c * pair.z, w, LINEAR)
-        return conditional_dependence(triple) ** 2
+        return conditional_dependence(x + c * pair.z, x - c * pair.z, w, LINEAR) ** 2
 
     def linear(cols):
         return cols[:, :, None] * cols[:, None, :]
@@ -126,8 +123,7 @@ def test_local_minimality_probes(gen):
         x = ds.x[:, j]
 
         def dep_at(c):
-            triple = GramTriple.from_data(x + c * pair.z, x - c * pair.z, w, LINEAR)
-            return conditional_dependence(triple)
+            return conditional_dependence(x + c * pair.z, x - c * pair.z, w, LINEAR)
 
         got = dep_at(pair.c)
         assert got <= dep_at(pair.c / 2.0) + 1e-12
@@ -199,15 +195,12 @@ def test_gaussian_kernel_path(gen):
         direct = make_mirror(ds, j, spec, RngSeed(2))
         assert pair.c == direct.c
         w = np.delete(ds.x, j, axis=1)
-        got = conditional_dependence(
-            GramTriple.from_data(pair.x_plus, pair.x_minus, w, spec)
-        )
+        got = conditional_dependence(pair.x_plus, pair.x_minus, w, spec)
         up = conditional_dependence(
-            GramTriple.from_data(
-                ds.x[:, j] + 2 * pair.c * pair.z,
-                ds.x[:, j] - 2 * pair.c * pair.z,
-                w, spec,
-            )
+            ds.x[:, j] + 2 * pair.c * pair.z,
+            ds.x[:, j] - 2 * pair.c * pair.z,
+            w,
+            spec,
         )
         assert got <= up + 1e-12
 
