@@ -11,7 +11,7 @@ import numpy as np
 
 from mirrorselect.dataset import Dataset
 from mirrorselect.kernelmeasure import KernelSpec, conditional_dependence
-from mirrorselect.mirror import make_mirror
+from mirrorselect.mirror import make_all_mirrors
 from mirrorselect.rng import RngSeed
 
 
@@ -37,16 +37,16 @@ def main():
     ds = Dataset(x, y)
 
     print("linear kernel, closed form:")
-    pair = make_mirror(ds, 0, KernelSpec("linear"), rng=RngSeed(11))
+    pair = make_all_mirrors(ds, KernelSpec("linear"), rng=RngSeed(11))[0]
     describe(pair, x[:, 0], np.delete(x, 0, axis=1))
 
     print("\ngaussian kernel, golden-section search:")
-    pair = make_mirror(ds, 0, KernelSpec("gaussian"), rng=RngSeed(11))
+    pair = make_all_mirrors(ds, KernelSpec("gaussian"), rng=RngSeed(11))[0]
     describe(pair, x[:, 0], np.delete(x, 0, axis=1))
 
     print("\nsame feature, fresh perturbation seeds:")
     for seed in (1, 2, 3):
-        pair = make_mirror(ds, 0, KernelSpec("linear"), rng=RngSeed(seed))
+        pair = make_all_mirrors(ds, KernelSpec("linear"), rng=RngSeed(seed))[0]
         print(f"  seed {seed}: c* = {pair.c:.4f}")
 
 

@@ -39,7 +39,7 @@ from .kernelmeasure import (
     median_heuristic_bandwidth,
     minimize_c,
 )
-from .mirror import MirrorPair, make_all_mirrors, make_mirror
+from .mirror import MirrorPair, make_all_mirrors
 from .neuralnet import (
     NetConfig,
     TrainedNet,
@@ -120,7 +120,6 @@ __all__ = [
     "load_csv",
     "load_truth",
     "make_all_mirrors",
-    "make_mirror",
     "median_heuristic_bandwidth",
     "minimize_c",
     "mirror_statistic",

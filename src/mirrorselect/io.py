@@ -111,6 +111,12 @@ def _parse_rows(reader, header, path) -> np.ndarray:
     return np.array(flat).reshape(-1, len(header))
 
 
+def _not_utf8(path: Path, err: UnicodeDecodeError) -> InvalidDataError:
+    return InvalidDataError(
+        f"{path}: not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}"
+    )
+
+
 def load_csv(path, response="y") -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
@@ -153,9 +159,7 @@ def load_csv(path, response="y") -> Dataset:
                 values = _parse_rows(reader, header, path)
     except UnicodeDecodeError as err:
         # _parse_fast gives up on it, and the header or row parser raises it
-        raise InvalidDataError(
-            f"{path}: not UTF-8 text: cannot decode byte 0x{err.object[err.start]:02x}"
-        ) from None
+        raise _not_utf8(path, err) from None
     except OSError as err:
         raise InvalidDataError(f"cannot read {path}: {err}") from err
     if not len(values):
@@ -186,6 +190,8 @@ def load_truth(path) -> frozenset[int]:
     try:
         with path.open(encoding="utf-8") as fh:
             doc = json.load(fh)
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     except OSError as err:
         raise InvalidDataError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:

@@ -45,6 +45,9 @@ _FAMILIES = ("linear", "gaussian", "polynomial")
 # Relative floor below which the quartic denominator counts as zero.
 _DENOM_REL_TOL = 1e-12
 
+# Points of the coarse grid that brackets the non-linear c-search's basin.
+_BRACKET_POINTS = 48
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -262,21 +265,18 @@ class SearchConfig:
     """Controls the scalar search used for non-linear kernels.
 
     The search interval is [0, c_max_factor * ||x|| / ||z||]; a coarse
-    grid of ``bracket_points`` locates the basin, then golden-section
+    grid of 48 points locates the basin, then golden-section
     refines to absolute tolerance tol_factor * c_max.
     """
 
     c_max_factor: float = 10.0
     tol_factor: float = 1e-6
-    bracket_points: int = 48
 
     def __post_init__(self):
         if not self.c_max_factor > 0:
             raise ConfigurationError("c_max_factor must be positive")
         if not 0 < self.tol_factor < 1:
             raise ConfigurationError("tol_factor must lie in (0, 1)")
-        if self.bracket_points < 3:
-            raise ConfigurationError("bracket_points must be at least 3")
 
 
 def _column(data, label: str) -> np.ndarray:
@@ -284,17 +284,6 @@ def _column(data, label: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise InvalidDataError(f"{label} contains non-finite values")
     return v
-
-
-def _search_inputs(x, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x and z as finite columns of equal length n, w as the n-row
-    conditioning block (zero columns when None)."""
-    x = _column(x, "x")
-    z = _column(z, "z")
-    n = x.shape[0]
-    if z.shape[0] != n:
-        raise InvalidDataError(f"x and z disagree in length: {n} vs {z.shape[0]}")
-    return x, z, _conditioning_block(w, n)
 
 
 def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizationResult:
@@ -375,8 +364,8 @@ class _Objective:
     for the polynomial family it is x and z themselves.  The object also
     owns two n x n buffers (and a third, scratch for the power, for a
     polynomial degree that is not a power of two).  A call overwrites
-    them with K_U and K_V (``halves``), centers them in place
-    (``_dependence``), and validates nothing; the held differences and
+    them with K_U and K_V (``halves``), centers them in place and checks
+    only the resulting value (``_dependence``); the held differences and
     K_W are only read.
     """
 
@@ -454,7 +443,12 @@ def minimize_c(
     high polynomial degree) raises NumericalError naming the kernel
     family.
     """
-    x, z, w_block = _search_inputs(x, z, w)
+    x = _column(x, "x")
+    z = _column(z, "z")
+    n = x.shape[0]
+    if z.shape[0] != n:
+        raise InvalidDataError(f"x and z disagree in length: {n} vs {z.shape[0]}")
+    w_block = _conditioning_block(w, n)
     if float(np.linalg.norm(z)) == 0.0:
         raise DegeneratePerturbationError("perturbation z is identically zero")
 
@@ -474,7 +468,7 @@ def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimization
     if c_max == 0.0:
         return CMinimizationResult(0.0, objective(0.0), "scalar_search", 1)
 
-    grid = np.linspace(0.0, c_max, search.bracket_points)
+    grid = np.linspace(0.0, c_max, _BRACKET_POINTS)
     values = [objective(c) for c in grid]
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]

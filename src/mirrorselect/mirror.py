@@ -6,9 +6,9 @@ are as conditionally independent as possible given the remaining columns.
 Under the null the two halves then carry exchangeable information about
 the response, which is what the downstream sign-symmetry argument needs.
 
-Each feature's z comes from a stream keyed by the column *name*, so a
-single base seed reproduces any individual mirror without generating the
-others, and permuting columns permutes the mirrors with them.
+Each feature's z comes from a stream keyed by the column *name*, so it
+does not depend on the other columns, and permuting columns permutes
+the mirrors with them.
 """
 
 from __future__ import annotations
@@ -86,40 +86,13 @@ def _mirror_feature(
     )
 
 
-def _abs_design(dataset: Dataset, spec: KernelSpec) -> np.ndarray | None:
-    """|X|, which only the linear closed form reads."""
-    return np.abs(dataset.x) if spec.family == "linear" else None
-
-
-def make_mirror(
-    dataset: Dataset,
-    feature_index: int,
-    spec: KernelSpec = KernelSpec("linear"),
-    rng: RngSeed = RngSeed(0),
-) -> MirrorPair:
-    """Mirror a single feature against the remaining columns."""
-    if not 0 <= feature_index < dataset.p:
-        raise ConfigurationError(
-            f"feature index {feature_index} out of range for p={dataset.p}"
-        )
-    if dataset.n < 3:
-        raise ConfigurationError(f"mirroring needs n >= 3 rows, got {dataset.n}")
-    x_abs = _abs_design(dataset, spec)
-    return _mirror_feature(dataset, int(feature_index), spec, rng, x_abs)
-
-
 def make_all_mirrors(
     dataset: Dataset,
     spec: KernelSpec = KernelSpec("linear"),
     rng: RngSeed = RngSeed(0),
 ) -> list[MirrorPair]:
-    """Mirror every feature of the dataset.
-
-    Output order follows column order, and entry j equals
-    ``make_mirror(dataset, j, ...)`` with the same arguments exactly:
-    both take the same per-feature route.
-    """
+    """Mirror every feature of the dataset, in column order."""
     if dataset.n < 3:
         raise ConfigurationError(f"mirroring needs n >= 3 rows, got {dataset.n}")
-    x_abs = _abs_design(dataset, spec)
+    x_abs = np.abs(dataset.x) if spec.family == "linear" else None
     return [_mirror_feature(dataset, j, spec, rng, x_abs) for j in range(dataset.p)]

@@ -109,11 +109,9 @@ def default_coef_sd(n: int, p: int) -> float:
 class ModelSpec:
     """Response model: linear or single-index with a named link.
 
-    ``support=None`` draws ``k_signals`` indices uniformly without
-    replacement; a given support overrides the count.  ``k_signals=0``
-    (or an empty support) is the null model: the response is pure noise.
-    ``coef_sd=None`` resolves to ``default_coef_sd(n, p)`` when the
-    response is sampled.
+    Sampling a response draws its support, ``k_signals`` indices chosen
+    uniformly without replacement (0: pure noise), and resolves
+    ``coef_sd=None`` to ``default_coef_sd(n, p)``.
     """
 
     kind: str = "linear"
@@ -121,7 +119,6 @@ class ModelSpec:
     k_signals: int = 10
     coef_sd: float | None = None
     noise_sd: float = 1.0
-    support: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("linear", "single_index"):
@@ -135,12 +132,6 @@ class ModelSpec:
                 )
         elif self.link is not None:
             raise ConfigurationError("linear models take no link")
-        if self.support is not None:
-            support = tuple(sorted(int(j) for j in self.support))
-            if len(set(support)) != len(support):
-                raise ConfigurationError("support indices must be distinct")
-            object.__setattr__(self, "support", support)
-            object.__setattr__(self, "k_signals", len(support))
         if self.k_signals < 0:
             raise ConfigurationError(
                 f"k_signals must be nonnegative, got {self.k_signals}"
@@ -164,8 +155,6 @@ def _check_model(model: ModelSpec, p: int) -> None:
     """Raise ConfigurationError if ``model`` cannot be drawn over p features."""
     if model.k_signals > p:
         raise ConfigurationError(f"k_signals={model.k_signals} exceeds p={p}")
-    if model.support is not None and any(not 0 <= j < p for j in model.support):
-        raise ConfigurationError(f"support indices out of range for p={p}")
     if model.coef_sd is None and p < 2:
         raise ConfigurationError("default coefficient scale needs p >= 2")
 
@@ -179,15 +168,10 @@ def sample_response(
     n, p = x.shape
     _check_model(model, p)
     gen = rng.generator()
-    if model.support is not None:
-        support = model.support
-    else:
-        support = tuple(
-            sorted(int(j) for j in gen.choice(p, size=model.k_signals, replace=False))
-        )
+    support = sorted(gen.choice(p, size=model.k_signals, replace=False).tolist())
     coef_sd = model.coef_sd if model.coef_sd is not None else default_coef_sd(n, p)
     beta = np.zeros(p)
-    beta[list(support)] = gen.normal(0.0, coef_sd, size=len(support))
+    beta[support] = gen.normal(0.0, coef_sd, size=len(support))
     eta = x @ beta
     mean = eta if model.kind == "linear" else LINKS[model.link](eta)
     y = mean + model.noise_sd * gen.standard_normal(n)
@@ -333,7 +317,7 @@ def _run_chunk(
     screen_opts: ScreenOptions | None,
 ):
     """Draw each rep's data under its own seeds, then select on all of
-    them with one pipeline call.  Returns (rep, record, error) per rep."""
+    them with one ``_run`` call.  Returns (rep, record, error) per rep."""
     start = time.perf_counter()
     rep_rngs = [rng.child(rep) for rep in reps]
     datasets = []
@@ -348,8 +332,7 @@ def _run_chunk(
             datasets.append(err)
             truths.append(None)
     sel_rngs = [rep_rng.child(2) for rep_rng in rep_rngs]
-    opts = screen_opts if method.startswith("s_") else None
-    results = _run(method.removeprefix("s_"), datasets, q, spec, net, sel_rngs, opts)
+    results = _run(method, datasets, q, spec, net, sel_rngs, screen_opts)
     runtime_ms = (time.perf_counter() - start) * 1000.0 / len(reps)
     outcomes = []
     for rep, sel_rng, truth, result in zip(reps, sel_rngs, truths, results):
@@ -395,7 +378,7 @@ def run_benchmark(
     on execution order; only ``runtime_ms`` does.  A rep that fails is
     listed in ``failures`` and leaves the other reps unchanged.  For the
     screening methods, ``screen_opts=None`` enables screening with
-    defaults.
+    defaults; the other methods take no ``screen_opts``.
     """
     if method not in METHODS:
         raise ConfigurationError(
@@ -403,6 +386,8 @@ def run_benchmark(
         )
     if reps < 1:
         raise ConfigurationError(f"reps must be positive, got {reps}")
+    if threads < 1:
+        raise ConfigurationError("threads must be at least 1")
     q = _check_q(q)
     _check_model(model, design.p)
     # Mirroring needs three rows; screening splits off a third of six.
@@ -418,11 +403,15 @@ def run_benchmark(
             raise ConfigurationError(
                 f"m_keep must lie in [1, {design.p}], got {screen_opts.m_keep}"
             )
+    elif screen_opts is not None:
+        raise ConfigurationError(
+            "screen_opts only applies to the screening methods (s_ingm, s_sngm)"
+        )
     worker = functools.partial(
         _run_chunk,
         design=design,
         model=model,
-        method=method,
+        method=method.removeprefix("s_"),
         q=q,
         rng=rng,
         spec=spec,

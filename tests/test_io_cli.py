@@ -574,20 +574,25 @@ class TestCli:
         assert record["error"] == "InvalidDataError"
         assert record["exit_code"] == 3
 
-    @pytest.mark.parametrize("command", ["select", "roc"])
-    def test_non_utf8_data_exits_3(self, tmp_path, capsys, command):
-        path = tmp_path / "latin1.csv"
-        path.write_bytes(b"a,b,y\n1,2,3\n4,\xff,6\n7,8,9\n")
-        write_json({"support": [0]}, tmp_path / "truth.json")
+    @pytest.mark.parametrize(
+        "command, bad",
+        [("select", "data"), ("roc", "data"), ("select", "truth"), ("roc", "truth")],
+        ids=["select", "roc", "select-truth", "roc-truth"],
+    )
+    def test_non_utf8_data_exits_3(self, tmp_path, capsys, command, bad):
+        data = tmp_path / "data.csv"
+        truth = tmp_path / "truth.json"
+        data.write_bytes(b"a,b,y\n1,2,3\n4,%s,6\n7,8,9\n" % (b"\xff" if bad == "data" else b"5"))
+        truth.write_bytes(b'{"support": [0], "x": "%s"}' % (b"\xff" if bad == "truth" else b"a"))
         out = tmp_path / "x"
-        code = main([command, "--data", str(path),
-                     "--truth", str(tmp_path / "truth.json"), *SELECT_FLAGS,
-                     "--out", str(out)])
+        code = main([command, "--data", str(data), "--truth", str(truth),
+                     *SELECT_FLAGS, "--out", str(out)])
         capsys.readouterr()
         assert code == 3
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "InvalidDataError"
-        assert "latin1.csv: not UTF-8 text" in record["message"]
+        bad_path = data if bad == "data" else truth
+        assert f"{bad_path}: not UTF-8 text: cannot decode byte 0xff" in record["message"]
         assert sorted(os.listdir(out)) == ["error.json"]
 
     @pytest.mark.parametrize(

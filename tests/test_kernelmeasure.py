@@ -503,10 +503,10 @@ def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
 
     monkeypatch.setattr(kernelmeasure, "_as_block", counting_check)
     spec = KernelSpec("gaussian")
-    short = minimize_c(x, z, w, spec, SearchConfig(bracket_points=3, tol_factor=0.1))
+    short = minimize_c(x, z, w, spec, SearchConfig(tol_factor=0.5))
     per_search = len(checks)
     res = minimize_c(x, z, w, spec)
-    assert res.evaluations > 5 * short.evaluations
+    assert res.evaluations > short.evaluations
     # the search validates its inputs, not each evaluation
     assert len(checks) == 2 * per_search
 
@@ -630,7 +630,7 @@ def test_c_search_memory_is_its_held_arrays(gen, spec, held):
     w = gen.standard_normal((n, 3))
     tracemalloc.start()
     try:
-        minimize_c(x, z, w, spec, SearchConfig(bracket_points=3, tol_factor=0.1))
+        minimize_c(x, z, w, spec, SearchConfig(tol_factor=0.1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -642,5 +642,3 @@ def test_search_config_validation():
         SearchConfig(c_max_factor=0.0)
     with pytest.raises(ConfigurationError):
         SearchConfig(tol_factor=0.0)
-    with pytest.raises(ConfigurationError):
-        SearchConfig(bracket_points=2)

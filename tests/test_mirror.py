@@ -14,7 +14,7 @@ from mirrorselect import (
     RngSeed,
     conditional_dependence,
     make_all_mirrors,
-    make_mirror,
+    minimize_c,
     mirror_statistic,
     sample_design,
     sample_response,
@@ -37,8 +37,8 @@ def _measure_sq(pair, w):
 
 def test_determinism_bitwise(gen):
     ds = _dataset(gen)
-    a = make_mirror(ds, 3, LINEAR, RngSeed(7, 3))
-    b = make_mirror(ds, 3, LINEAR, RngSeed(7, 3))
+    a = make_all_mirrors(ds, LINEAR, RngSeed(7, 3))[3]
+    b = make_all_mirrors(ds, LINEAR, RngSeed(7, 3))[3]
     assert a.c == b.c
     np.testing.assert_array_equal(a.z, b.z)
     np.testing.assert_array_equal(a.x_plus, b.x_plus)
@@ -47,8 +47,8 @@ def test_determinism_bitwise(gen):
 
 def test_different_seeds_differ(gen):
     ds = _dataset(gen)
-    a = make_mirror(ds, 0, LINEAR, RngSeed(1))
-    b = make_mirror(ds, 0, LINEAR, RngSeed(2))
+    a = make_all_mirrors(ds, LINEAR, RngSeed(1))[0]
+    b = make_all_mirrors(ds, LINEAR, RngSeed(2))[0]
     assert not np.array_equal(a.z, b.z)
 
 
@@ -56,7 +56,7 @@ def test_zero_column_mirrors_symmetrically(gen):
     x = gen.standard_normal((50, 3))
     x[:, 1] = 0.0
     ds = Dataset(x, gen.standard_normal(50))
-    pair = make_mirror(ds, 1, LINEAR, RngSeed(4))
+    pair = make_all_mirrors(ds, LINEAR, RngSeed(4))[1]
     # a zero column has nothing to hide: the minimizer is c = 0 and the
     # two halves coincide at c z = 0
     assert pair.c == 0.0
@@ -93,7 +93,7 @@ def test_reconstruction_invariant_sweep(gen):
 def test_recovered_c_matches_dense_grid(gen):
     n = 50
     ds = _dataset(gen, n=n, p=4)
-    pair = make_mirror(ds, 2, LINEAR, RngSeed(9))
+    pair = make_all_mirrors(ds, LINEAR, RngSeed(9))[2]
     w = np.delete(ds.x, 2, axis=1)
     x = ds.x[:, 2]
 
@@ -115,8 +115,7 @@ def test_recovered_c_matches_dense_grid(gen):
 
 def test_local_minimality_probes(gen):
     ds = _dataset(gen, n=40, p=5)
-    for j in range(ds.p):
-        pair = make_mirror(ds, j, LINEAR, RngSeed(21))
+    for j, pair in enumerate(make_all_mirrors(ds, LINEAR, RngSeed(21))):
         if pair.c == 0.0:
             continue
         w = np.delete(ds.x, j, axis=1)
@@ -130,28 +129,25 @@ def test_local_minimality_probes(gen):
         assert got <= dep_at(pair.c * 2.0) + 1e-12
 
 
-def test_make_all_singleton_equals_make_mirror(gen):
-    ds = _dataset(gen, n=30, p=1)
-    rng = RngSeed(13)
-    only = make_all_mirrors(ds, LINEAR, rng)
-    assert len(only) == 1
-    single = make_mirror(ds, 0, LINEAR, rng)
-    assert only[0].c == single.c
-    np.testing.assert_array_equal(only[0].z, single.z)
-    np.testing.assert_array_equal(only[0].x_plus, single.x_plus)
-
-
-def test_make_all_matches_per_feature_calls(gen):
-    ds = _dataset(gen, n=45, p=7)
-    rng = RngSeed(3)
-    pairs = make_all_mirrors(ds, LINEAR, rng)
+@pytest.mark.parametrize("p", [1, 7])
+@pytest.mark.parametrize(
+    "spec", [LINEAR, KernelSpec("gaussian")], ids=["linear", "gaussian"]
+)
+def test_make_all_matches_public_minimize_c(gen, spec, p):
+    ds = _dataset(gen, n=45, p=p)
+    pairs = make_all_mirrors(ds, spec, RngSeed(3))
+    assert len(pairs) == p
     for j, pair in enumerate(pairs):
-        direct = make_mirror(ds, j, LINEAR, rng)
-        np.testing.assert_array_equal(pair.z, direct.z)
-        # both take the same per-feature route, so they agree bitwise
-        assert pair.c == direct.c
-        np.testing.assert_array_equal(pair.x_plus, direct.x_plus)
-        np.testing.assert_array_equal(pair.x_minus, direct.x_minus)
+        x = ds.x[:, j]
+        np.testing.assert_array_equal(pair.x_plus, x + pair.c * pair.z)
+        oracle = minimize_c(x, pair.z, np.delete(ds.x, j, axis=1), spec).c_star
+        if spec.family == "gaussian":
+            # the mirror runs exactly this search
+            assert pair.c == oracle
+        else:
+            # the closed form's products with the full design and ``drop``
+            # round differently from products with the remaining columns
+            np.testing.assert_allclose(pair.c, oracle, rtol=1e-12, atol=0)
 
 
 def test_make_all_linear_memory_stays_below_one_gram(gen):
@@ -192,9 +188,8 @@ def test_gaussian_kernel_path(gen):
     pairs = make_all_mirrors(ds, spec, RngSeed(2))
     assert len(pairs) == 3
     for j, pair in enumerate(pairs):
-        direct = make_mirror(ds, j, spec, RngSeed(2))
-        assert pair.c == direct.c
         w = np.delete(ds.x, j, axis=1)
+        assert pair.c == minimize_c(ds.x[:, j], pair.z, w, spec).c_star
         got = conditional_dependence(pair.x_plus, pair.x_minus, w, spec)
         up = conditional_dependence(
             ds.x[:, j] + 2 * pair.c * pair.z,
@@ -212,23 +207,11 @@ def test_degenerate_conditioning_names_feature(gen):
     # perturbation is invisible to it
     with pytest.raises(DegeneratePerturbationError, match=r"feature 0 \(sig\)"):
         make_all_mirrors(ds, LINEAR, RngSeed(1))
-    with pytest.raises(DegeneratePerturbationError):
-        make_mirror(ds, 0, LINEAR, RngSeed(1))
-
-
-def test_feature_index_validated(gen):
-    ds = _dataset(gen, n=20, p=2)
-    with pytest.raises(ConfigurationError):
-        make_mirror(ds, 2, LINEAR, RngSeed(0))
-    with pytest.raises(ConfigurationError):
-        make_mirror(ds, -1, LINEAR, RngSeed(0))
 
 
 def test_minimum_rows_validated(gen):
     x = gen.standard_normal((2, 3))
     ds = Dataset(x, np.zeros(2))
-    with pytest.raises(ConfigurationError):
-        make_mirror(ds, 0, LINEAR, RngSeed(0))
     with pytest.raises(ConfigurationError):
         make_all_mirrors(ds, LINEAR, RngSeed(0))
 

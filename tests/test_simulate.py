@@ -150,20 +150,14 @@ class TestSampleResponse:
     def test_noiseless_single_index_exact(self):
         x = sample_design(DesignSpec(100, 5), RngSeed(22))
         model = ModelSpec(
-            kind="single_index", link="f2", support=(0, 3), coef_sd=2.0,
-            noise_sd=0.0,
+            kind="single_index", link="f2", k_signals=2, coef_sd=2.0, noise_sd=0.0
         )
         sample = sample_response(x, model, RngSeed(23))
-        assert sample.truth == frozenset({0, 3})
-        np.testing.assert_array_equal(np.flatnonzero(sample.beta), [0, 3])
+        assert len(sample.truth) == 2
+        np.testing.assert_array_equal(np.flatnonzero(sample.beta), sorted(sample.truth))
         np.testing.assert_allclose(
             sample.y, 0.5 * (x @ sample.beta) ** 3, rtol=1e-12
         )
-
-    def test_support_overrides_count(self):
-        model = ModelSpec(support=(3, 1))
-        assert model.k_signals == 2
-        assert model.support == (1, 3)
 
     def test_determinism(self):
         x = sample_design(DesignSpec(60, 8), RngSeed(24))
@@ -181,7 +175,6 @@ class TestSampleResponse:
             dict(kind="single_index", link="f9"),
             dict(kind="linear", link="f1"),
             dict(k_signals=-1),
-            dict(support=(1, 1)),
             dict(coef_sd=0.0),
             dict(noise_sd=-1.0),
         ],
@@ -189,11 +182,6 @@ class TestSampleResponse:
     def test_bad_model_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ModelSpec(**kwargs)
-
-    def test_support_out_of_range(self):
-        x = np.zeros((10, 3))
-        with pytest.raises(ConfigurationError):
-            sample_response(x, ModelSpec(support=(0, 5)), RngSeed(0))
 
     def test_too_many_signals(self):
         x = np.zeros((10, 3))
@@ -360,7 +348,6 @@ def _lone_benchmark(design, model, method, q, reps, rng, net, screen_opts):
     """``_benchmark_fields`` of a benchmark whose reps each select on
     their own data with one ``run_sngm``/``run_ingm`` call."""
     runner = run_sngm if method.endswith("sngm") else run_ingm
-    opts = screen_opts if method.startswith("s_") else None
     rows, failures = [], []
     for rep in range(reps):
         rep_rng = rng.child(rep)
@@ -368,7 +355,9 @@ def _lone_benchmark(design, model, method, q, reps, rng, net, screen_opts):
         sample = sample_response(x, model, rep_rng.child(1))
         sel_rng = rep_rng.child(2)
         try:
-            result = runner(Dataset(x, sample.y), q, net=net, rng=sel_rng, screen_opts=opts)
+            result = runner(
+                Dataset(x, sample.y), q, net=net, rng=sel_rng, screen_opts=screen_opts
+            )
         except MirrorSelectError as err:
             failures.append((rep, f"{type(err).__name__}: {err}"))
             continue
@@ -456,7 +445,7 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("method", ["sngm", "s_sngm", "ingm", "s_ingm"])
     def test_stacked_reps_equal_lone_runs(self, method, threads):
         design, model = STACK_CASE
-        opts = ScreenOptions(m_keep=3)
+        opts = ScreenOptions(m_keep=3) if method.startswith("s_") else None
         stacked = run_benchmark(design, model, method, 0.2, 6, RngSeed(3), net=EDGE_NET,
                                 screen_opts=opts, threads=threads)
         lone = _lone_benchmark(design, model, method, 0.2, 6, RngSeed(3), EDGE_NET, opts)
@@ -527,10 +516,14 @@ class TestRunBenchmark:
         # a model the design cannot hold fails before any rep is drawn
         with pytest.raises(ConfigurationError, match="k_signals=5 exceeds p=4"):
             run_benchmark(design, ModelSpec(k_signals=5))
-        with pytest.raises(ConfigurationError, match="support indices out of range"):
-            run_benchmark(design, ModelSpec(support=(0, 4)))
         with pytest.raises(ConfigurationError, match="needs p >= 2"):
             run_benchmark(DesignSpec(30, 1, "identity"), model)
+        # the checks the CLI makes on --threads and --m-keep
+        for threads in (0, -1):
+            with pytest.raises(ConfigurationError, match="threads must be at least 1"):
+                run_benchmark(design, model, threads=threads)
+        with pytest.raises(ConfigurationError, match="only applies to the screening"):
+            run_benchmark(design, model, method="sngm", screen_opts=ScreenOptions(m_keep=2))
 
 
 def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
