@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy
@@ -270,18 +270,13 @@ def _cmd_simulate(args, out_dir: Path) -> None:
     sample = sample_response(x, model, rng.child(1))
     dataset = Dataset(x, sample.y)
     write_dataset_csv(dataset, out_dir / "dataset.csv")
+    coef_sd = model.coef_sd or default_coef_sd(design.n, design.p)
     write_json(
         {
             "support": sorted(sample.truth),
             "beta": [float(b) for b in sample.beta],
             "design": asdict(design),
-            "model": {
-                "kind": model.kind,
-                "link": model.link,
-                "k_signals": model.k_signals,
-                "coef_sd": model.coef_sd or default_coef_sd(design.n, design.p),
-                "noise_sd": model.noise_sd,
-            },
+            "model": asdict(replace(model, coef_sd=coef_sd)),
         },
         out_dir / "truth.json",
     )

@@ -188,7 +188,7 @@ def load_truth(path) -> frozenset[int]:
     """Read the true support from a JSON document with a ``support`` key."""
     path = Path(path)
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except UnicodeDecodeError as err:
         raise _not_utf8(path, err) from None

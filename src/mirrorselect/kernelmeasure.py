@@ -251,12 +251,11 @@ class CMinimizationResult:
     """Outcome of a perturbation-scale optimization.
 
     ``objective_at_c_star`` is the squared dependence measure at the
-    returned scale, identical in meaning for both methods.
+    returned scale; ``evaluations`` is 0 for the linear closed form.
     """
 
     c_star: float
     objective_at_c_star: float
-    method: str
     evaluations: int
 
 
@@ -322,7 +321,7 @@ def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizatio
     c = math.sqrt(c_sq)
     value = alpha - 2.0 * beta * c_sq + gamma * c_sq * c_sq
     measure = max(value, 0.0) / (n * n)
-    return CMinimizationResult(c, measure * measure, "closed_form", 0)
+    return CMinimizationResult(c, measure * measure, 0)
 
 
 def _golden_section(f, a: float, b: float, tol: float):
@@ -466,7 +465,7 @@ def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimization
     """The grid-bracketed golden-section search of ``minimize_c``."""
     c_max = objective.c_max
     if c_max == 0.0:
-        return CMinimizationResult(0.0, objective(0.0), "scalar_search", 1)
+        return CMinimizationResult(0.0, objective(0.0), 1)
 
     grid = np.linspace(0.0, c_max, _BRACKET_POINTS)
     values = [objective(c) for c in grid]
@@ -477,6 +476,4 @@ def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimization
     result_value = objective(c_star)
     if not math.isfinite(result_value):
         raise NumericalError(f"objective is non-finite at c={c_star}")
-    return CMinimizationResult(
-        float(c_star), result_value, "scalar_search", len(values) + refinements + 1
-    )
+    return CMinimizationResult(float(c_star), result_value, len(values) + refinements + 1)

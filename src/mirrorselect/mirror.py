@@ -27,7 +27,6 @@ from .rng import RngSeed
 class MirrorPair:
     """One mirrored feature: the perturbation, its scale, and the pair."""
 
-    feature_index: int
     name: str
     z: np.ndarray
     c: float
@@ -77,7 +76,6 @@ def _mirror_feature(
         raise type(err)(f"feature {j} ({dataset.names[j]}): {err}") from err
     x_plus = x + result.c_star * z
     return MirrorPair(
-        feature_index=j,
         name=dataset.names[j],
         z=z,
         c=result.c_star,

@@ -79,7 +79,6 @@ class NetConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     weight_init_scale: float = 1.0
-    seed: RngSeed = RngSeed(0)
 
     def __post_init__(self):
         if self.hidden_sizes is not None:
@@ -103,8 +102,6 @@ class NetConfig:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if not math.isfinite(float(self.weight_init_scale)) or self.weight_init_scale < 0:
             raise ConfigurationError("weight_init_scale must be nonnegative")
-        if not isinstance(self.seed, RngSeed):
-            raise ConfigurationError("seed must be an RngSeed")
 
 
 @dataclass(eq=False)
@@ -311,9 +308,9 @@ def train_many(
     """Fit k same-shape nets that share hyper-parameters.
 
     Net i trains on the i-th of the k matrices that ``designs`` yields,
-    draws its initial weights and epoch permutations from ``seeds[i]``
-    (``config.seed`` is not used) and shares scales across the column
-    pairs in ``paired_columns[i]``.  ``targets`` is one vector of n
+    draws its initial weights and epoch permutations from the RngSeed
+    ``seeds[i]`` and shares scales across the column pairs in
+    ``paired_columns[i]``.  ``targets`` is one vector of n
     values that every net fits, or a (k, n) array whose row i net i
     fits; each net standardizes its own targets.  Each net comes out
     bitwise equal to ``train`` fitting it alone, whatever is stacked
@@ -329,6 +326,8 @@ def train_many(
     nets' results unchanged.
     """
     seeds = list(seeds)
+    if not all(isinstance(seed, RngSeed) for seed in seeds):
+        raise ConfigurationError("seeds must be RngSeed instances")
     k = len(seeds)
     pairs = [None] * k if paired_columns is None else list(paired_columns)
     if len(pairs) != k:
@@ -353,7 +352,9 @@ def train_many(
     ys = np.broadcast_to((y - y_mean) / y_scale, (k, n))
     y_scalers = np.broadcast_to(np.hstack([y_mean, y_scale]), (k, 2)).tolist()
 
-    prepared = ((_checked(x, n, config), p) for x, p in zip(designs, pairs))
+    # Pairs lead the zip, so no design past the k-th is drawn early.
+    designs = iter(designs)
+    prepared = ((_checked(x, n, config), p) for p, x in zip(pairs, designs))
     results = []
     sizes = None
     for head in prepared:
@@ -390,6 +391,8 @@ def train_many(
             )
     if len(results) != k:
         raise ConfigurationError(f"expected {k} designs, got fewer")
+    if next(designs, None) is not None:
+        raise ConfigurationError(f"expected {k} designs, got more")
     return results
 
 
@@ -398,8 +401,9 @@ def train(
     targets,
     config: NetConfig = NetConfig(),
     paired_columns=None,
+    rng: RngSeed = RngSeed(0),
 ) -> TrainedNet:
-    """Fit a network to (inputs, targets), seeded by ``config.seed``.
+    """Fit a network to (inputs, targets), seeded by ``rng``.
 
     ``paired_columns`` is an iterable of (i, j) column index pairs that
     must share a standardization scale (the root mean square of the two
@@ -410,7 +414,7 @@ def train(
     step), then the full-data loss after training.  Raises TrainingError,
     carrying the trace so far, once an entry is non-finite.
     """
-    (net,) = train_many([inputs], targets, config, [config.seed], [paired_columns])
+    (net,) = train_many([inputs], targets, config, [rng], [paired_columns])
     if isinstance(net, TrainingError):
         raise net
     return net

@@ -224,9 +224,8 @@ def _fit_each(requests, config: NetConfig) -> list:
         if len(seeds) == 1:
             # A lone net goes through ``train``, train_many's one-net
             # case, so a traced one-dataset run shows it as a train span.
-            lone = replace(config_n, seed=seeds[0])
             try:
-                nets = [train(next(designs), group[0].targets, lone, paired_columns=pairs[0])]
+                nets = [train(next(designs), group[0].targets, config_n, pairs[0], seeds[0])]
             except TrainingError as err:
                 nets = [err]
         else:

@@ -57,6 +57,8 @@ class DesignSpec:
                 f"unknown structure {self.structure!r}; expected one of {_STRUCTURES}"
             )
         rho = float(self.rho)
+        if not math.isfinite(rho):
+            raise ConfigurationError(f"rho must be finite, got {rho}")
         if self.structure == "toeplitz_pc" and not -1.0 < rho < 1.0:
             raise ConfigurationError(f"toeplitz rho must lie in (-1, 1), got {rho}")
         if self.structure == "constant_pc":
@@ -136,10 +138,10 @@ class ModelSpec:
             raise ConfigurationError(
                 f"k_signals must be nonnegative, got {self.k_signals}"
             )
-        if self.coef_sd is not None and not float(self.coef_sd) > 0:
-            raise ConfigurationError(f"coef_sd must be positive, got {self.coef_sd}")
-        if float(self.noise_sd) < 0:
-            raise ConfigurationError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if self.coef_sd is not None and not 0 < float(self.coef_sd) < math.inf:
+            raise ConfigurationError(f"coef_sd must be positive and finite, got {self.coef_sd}")
+        if not 0 <= float(self.noise_sd) < math.inf:
+            raise ConfigurationError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)

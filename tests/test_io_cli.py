@@ -293,6 +293,11 @@ class TestLoadTruth:
         with pytest.raises(InvalidDataError, match="invalid JSON"):
             load_truth(path)
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_bytes(b'\xef\xbb\xbf{"support": [3, 0]}')
+        assert load_truth(path) == frozenset({0, 3})
+
 
 def test_error_exit_codes():
     # the command line maps every error family to its own exit code
@@ -623,6 +628,42 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["message"] == message
         # nothing was fitted, so nothing but the error was written
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("command, written", [("select", "metrics.json"), ("roc", "roc.json")])
+    def test_truth_with_byte_order_mark_is_read(self, tmp_path, capsys, command, written):
+        # as on the CSV, a byte order mark is not part of the truth document
+        sim = _simulate(tmp_path, "sim12")
+        truth = tmp_path / "truth.json"
+        truth.write_bytes(b'\xef\xbb\xbf{"support": [0]}')
+        out = tmp_path / "bom"
+        code = main([command, "--data", str(sim / "dataset.csv"), "--truth", str(truth),
+                     *SELECT_FLAGS, "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert (out / written).exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("benchmark", "--noise-sd", "nan", "noise_sd must be nonnegative and finite"),
+            ("benchmark", "--coef-sd", "inf", "coef_sd must be positive and finite"),
+            ("benchmark", "--rho", "nan", "rho must be finite"),
+            ("simulate", "--rho", "nan", "rho must be finite"),
+        ],
+        ids=["benchmark-noise-sd", "benchmark-coef-sd", "benchmark-rho", "simulate-rho"],
+    )
+    def test_non_finite_setting_exits_2_before_any_file(self, tmp_path, capsys,
+                                                        command, flag, value, message):
+        out = tmp_path / "x"
+        extra = ["--reps", "2", "--hidden", "4", "--epochs", "2"] if command == "benchmark" else []
+        code = main([command, "--n", "30", "--p", "4", "--k", "1", *extra,
+                     flag, value, "--out", str(out)])
+        capsys.readouterr()
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigurationError"
+        assert message in record["message"]
         assert sorted(os.listdir(out)) == ["error.json"]
 
     def test_bad_q_exits_2(self, tmp_path, capsys):

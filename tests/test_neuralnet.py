@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -67,7 +66,6 @@ def test_default_hidden_sizes():
         {"batch_size": 0},
         {"learning_rate": 0.0},
         {"weight_init_scale": -0.5},
-        {"seed": 7},
     ],
 )
 def test_net_config_validation(kwargs):
@@ -81,8 +79,8 @@ def test_net_config_validation(kwargs):
 def test_zero_targets_zero_init_flat_trace(gen):
     x = gen.standard_normal((80, 3))
     cfg = NetConfig(hidden_sizes=(4,), epochs=10, batch_size=20,
-                    weight_init_scale=0.0, seed=RngSeed(1))
-    net = train(x, np.zeros(80), cfg)
+                    weight_init_scale=0.0)
+    net = train(x, np.zeros(80), cfg, rng=RngSeed(1))
     assert net.loss_trace == [0.0] * 11
 
 
@@ -90,8 +88,8 @@ def test_linear_target_trains_well(gen):
     x = gen.standard_normal(200)
     y = 3.0 * x
     cfg = NetConfig(hidden_sizes=(8,), epochs=300, batch_size=32,
-                    learning_rate=1e-2, seed=RngSeed(5))
-    net = train(x, y, cfg)
+                    learning_rate=1e-2)
+    net = train(x, y, cfg, rng=RngSeed(5))
     assert net.loss_trace[-1] < 0.05 * net.loss_trace[0]
 
 
@@ -99,9 +97,9 @@ def test_training_deterministic(gen):
     x = gen.standard_normal((90, 4))
     y = x[:, 0] - x[:, 2] + 0.1 * gen.standard_normal(90)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=20, batch_size=30,
-                    learning_rate=5e-3, seed=RngSeed(42))
-    a = train(x, y, cfg)
-    b = train(x, y, cfg)
+                    learning_rate=5e-3)
+    a = train(x, y, cfg, rng=RngSeed(42))
+    b = train(x, y, cfg, rng=RngSeed(42))
     assert a.loss_trace == b.loss_trace
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
@@ -114,8 +112,8 @@ def test_loss_decreases_on_learnable_signal(gen):
         x = gen.standard_normal((150, 5))
         y = x @ np.array([2.0, -1.0, 0.0, 0.5, 0.0]) + 0.2 * gen.standard_normal(150)
         cfg = NetConfig(hidden_sizes=(10,), epochs=100, batch_size=50,
-                        learning_rate=5e-3, seed=RngSeed(rep))
-        net = train(x, y, cfg)
+                        learning_rate=5e-3)
+        net = train(x, y, cfg, rng=RngSeed(rep))
         assert len(net.loss_trace) == 101
         assert net.loss_trace[-1] <= net.loss_trace[0]
 
@@ -126,8 +124,8 @@ def test_paired_columns_share_scale(gen):
         5.0 * gen.standard_normal(100),
         gen.standard_normal(100),
     ])
-    cfg = NetConfig(hidden_sizes=(4,), epochs=1, batch_size=50, seed=RngSeed(0))
-    net = train(x, gen.standard_normal(100), cfg, paired_columns=[(0, 1)])
+    cfg = NetConfig(hidden_sizes=(4,), epochs=1, batch_size=50)
+    net = train(x, gen.standard_normal(100), cfg, paired_columns=[(0, 1)], rng=RngSeed(0))
     s = x.std(axis=0)
     shared = np.sqrt((s[0] ** 2 + s[1] ** 2) / 2.0)
     np.testing.assert_allclose(net.input_scale[0], shared, rtol=1e-12)
@@ -159,9 +157,9 @@ def test_divergence_raises_with_trace(gen):
     x = gen.standard_normal((64, 3))
     y = gen.standard_normal(64)
     cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=60,
-                    batch_size=16, learning_rate=1e6, seed=RngSeed(3))
+                    batch_size=16, learning_rate=1e6)
     with pytest.raises(TrainingError) as info:
-        train(x, y, cfg)
+        train(x, y, cfg, rng=RngSeed(3))
     assert info.value.trace is not None
     assert len(info.value.trace) >= 2
     assert not np.isfinite(info.value.trace[-1])
@@ -172,8 +170,8 @@ def test_trace_ends_with_full_data_loss(gen, epochs):
     x = gen.standard_normal((70, 3))
     y = 5.0 + 2.0 * x[:, 1] + gen.standard_normal(70)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=epochs, batch_size=32,
-                    learning_rate=1e-2, seed=RngSeed(8))
-    net = train(x, y, cfg)
+                    learning_rate=1e-2)
+    net = train(x, y, cfg, rng=RngSeed(8))
     assert len(net.loss_trace) == epochs + 1
     residual = (net.predict(x) - net.target_mean) / net.target_scale - (y - y.mean()) / y.std()
     np.testing.assert_allclose(net.loss_trace[-1], np.mean(residual**2), rtol=1e-12)
@@ -208,8 +206,8 @@ def test_predictions_on_raw_scale(gen):
     x = 4.0 + 2.0 * gen.standard_normal((120, 2))
     y = 10.0 + x[:, 0]
     cfg = NetConfig(hidden_sizes=(8,), epochs=200, batch_size=40,
-                    learning_rate=1e-2, seed=RngSeed(6))
-    net = train(x, y, cfg)
+                    learning_rate=1e-2)
+    net = train(x, y, cfg, rng=RngSeed(6))
     pred = net.predict(x)
     assert np.mean((pred - y) ** 2) < 0.25 * np.var(y)
 
@@ -224,7 +222,7 @@ def _fit_alone(designs, y, cfg, seeds, pairs):
     out = []
     for x, target, seed, pair in zip(designs, ys, seeds, pairs):
         try:
-            out.append(train(x, target, replace(cfg, seed=seed), paired_columns=pair))
+            out.append(train(x, target, cfg, paired_columns=pair, rng=seed))
         except TrainingError as err:
             out.append(err)
     return out
@@ -381,6 +379,44 @@ def test_train_many_validation(gen):
         train_many([x, x], np.stack([x[:, 0], np.full(40, np.nan)]), cfg, seeds)
 
 
+def test_seeds_must_be_rng_seeds(gen):
+    x = gen.standard_normal((40, 3))
+    cfg = NetConfig(hidden_sizes=(4,), epochs=1, batch_size=10)
+    with pytest.raises(ConfigurationError, match="RngSeed"):
+        train(x, x[:, 0], cfg, rng=7)
+    with pytest.raises(ConfigurationError, match="RngSeed"):
+        train_many([x], x[:, 0], cfg, seeds=[7])
+
+
+def test_train_many_rejects_extra_designs(gen, monkeypatch):
+    x = gen.standard_normal((40, 3))
+    cfg = NetConfig(hidden_sizes=(4,), epochs=1, batch_size=10)
+    seeds = [RngSeed(0, i) for i in range(2)]
+    with pytest.raises(ConfigurationError, match="got more"):
+        train_many([x, x, x], x[:, 0], cfg, seeds)
+    events = []
+    fit_stack = neuralnet._fit_stack
+
+    def recording_fit_stack(*args):
+        events.append("fit")
+        return fit_stack(*args)
+
+    def lazily(count):
+        for _ in range(count):
+            events.append("design")
+            yield x
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
+    # the extra design is drawn only once the k nets are fitted
+    with pytest.raises(ConfigurationError, match="got more"):
+        train_many(lazily(3), x[:, 0], cfg, seeds)
+    assert events == ["design", "design", "fit", "design"]
+    # with exactly k designs, none past the k-th is asked for
+    events.clear()
+    assert len(train_many(lazily(2), x[:, 0], cfg, seeds)) == 2
+    assert events == ["design", "design", "fit"]
+
+
 # ------------------------------------------------------------- importances
 
 
@@ -475,8 +511,8 @@ def test_gradient_includes_scalers(gen):
     x = 3.0 * gen.standard_normal((150, 3)) + 1.0
     y = 2.0 * x[:, 0] - x[:, 1] + 0.1 * gen.standard_normal(150)
     cfg = NetConfig(hidden_sizes=(8,), epochs=100, batch_size=50,
-                    learning_rate=1e-2, seed=RngSeed(8))
-    net = train(x, y, cfg)
+                    learning_rate=1e-2)
+    net = train(x, y, cfg, rng=RngSeed(8))
     point = x[0]
     grad = gradient_importance(net, point)
     h = 1e-5
