@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""End-to-end command-line pipeline in a temporary directory.
+"""End-to-end command-line pipeline in a temporary directory, removed
+when the demo ends.
 
 simulate writes a dataset with a truth sidecar, select consumes both
 and scores itself, roc sweeps every threshold.  Each command drops a
@@ -27,8 +28,7 @@ def show(path):
     print(f"  {path.name}: {json.dumps(keep, sort_keys=True)}")
 
 
-def main_demo():
-    root = Path(tempfile.mkdtemp(prefix="mirrorselect-"))
+def main_demo(root):
     print(f"working under {root}\n")
 
     sim = root / "sim"
@@ -69,4 +69,5 @@ def main_demo():
 
 
 if __name__ == "__main__":
-    main_demo()
+    with tempfile.TemporaryDirectory(prefix="mirrorselect-") as tmp:
+        main_demo(Path(tmp))

@@ -30,8 +30,9 @@ class Dataset:
     response_name: str = "y"
 
     def __post_init__(self):
-        # private copies, frozen below so views handed out stay stable
-        x = np.array(self.x, dtype=float)
+        # private copies, frozen below so views handed out stay stable; C
+        # order, so reductions over x do not depend on the caller's layout
+        x = np.array(self.x, dtype=float, order="C")
         y = np.array(self.y, dtype=float)
         if x.ndim != 2:
             raise InvalidDataError(f"design matrix must be 2-d, got {x.ndim}-d")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigurationError, MirrorSelectError
+from .errors import InvalidDataError, MirrorSelectError
 from .kernelmeasure import KernelSpec, _linear_closed_form, minimize_c
 from .rng import RngSeed
 
@@ -32,29 +32,6 @@ class MirrorPair:
     c: float
     x_plus: np.ndarray
     x_minus: np.ndarray
-
-
-def _exact_complement(total: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Float vector rest with part + rest == total bitwise where possible.
-
-    total - part rounds, so the naive complement can miss by an ulp.  A
-    few one-ulp nudges repair every entry whose magnitudes allow an
-    exact complement; entries where no float works stay within one ulp.
-    """
-    rest = total - part
-    bad = (part + rest) != total
-    up = rest
-    down = rest
-    for _ in range(3):
-        if not bad.any():
-            break
-        up = np.nextafter(up, np.inf)
-        down = np.nextafter(down, -np.inf)
-        for candidate in (up, down):
-            fix = bad & ((part + candidate) == total)
-            rest = np.where(fix, candidate, rest)
-            bad &= ~fix
-    return rest
 
 
 def _mirror_feature(
@@ -74,13 +51,13 @@ def _mirror_feature(
             result = minimize_c(x, z, np.delete(x_all, j, axis=1), spec)
     except MirrorSelectError as err:
         raise type(err)(f"feature {j} ({dataset.names[j]}): {err}") from err
-    x_plus = x + result.c_star * z
+    shift = result.c_star * z
     return MirrorPair(
         name=dataset.names[j],
         z=z,
         c=result.c_star,
-        x_plus=x_plus,
-        x_minus=_exact_complement(2.0 * x, x_plus),
+        x_plus=x + shift,
+        x_minus=x - shift,
     )
 
 
@@ -91,6 +68,6 @@ def make_all_mirrors(
 ) -> list[MirrorPair]:
     """Mirror every feature of the dataset, in column order."""
     if dataset.n < 3:
-        raise ConfigurationError(f"mirroring needs n >= 3 rows, got {dataset.n}")
+        raise InvalidDataError(f"mirroring needs n >= 3 rows, got {dataset.n}")
     x_abs = np.abs(dataset.x) if spec.family == "linear" else None
     return [_mirror_feature(dataset, j, spec, rng, x_abs) for j in range(dataset.p)]

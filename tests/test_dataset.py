@@ -98,13 +98,6 @@ def test_immutability(gen):
         ds.x[0, 0] = 99.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Dataset keeps the caller's memory order, and c and m round "
-    "differently on a Fortran-ordered design; forcing C order would move "
-    "the fingerprints of load_csv and select_columns, whose designs are "
-    "Fortran-ordered",
-)
 def test_results_do_not_depend_on_memory_layout(gen):
     x = gen.standard_normal((60, 6))
     y = x[:, 0] + gen.standard_normal(60)

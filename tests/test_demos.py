@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion without a warning."""
+"""Smoke test: every demo script runs to completion without a warning and
+leaves nothing in the temporary directory."""
 
 import os
 import subprocess
@@ -13,10 +14,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # temporary files the demos make land under tmp_path too
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    # each demo gets its own temporary directory, which it must leave empty
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp)}
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp.iterdir()) == []

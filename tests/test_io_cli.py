@@ -171,9 +171,9 @@ class TestLoadCsv:
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
         assert back.names == ds.names
-        # results depend on the design's memory layout, so it must not move
+        # Dataset stores C order, whatever layout the parser builds
         # (see test_results_do_not_depend_on_memory_layout)
-        assert back.x.flags.f_contiguous
+        assert back.x.flags.c_contiguous
 
     def test_dataset_csv_bytes_match_per_cell_writer(self, tmp_path):
         def per_cell(dataset, path):
@@ -665,6 +665,19 @@ class TestCli:
         assert record["error"] == "ConfigurationError"
         assert message in record["message"]
         assert sorted(os.listdir(out)) == ["error.json"]
+
+    def test_too_few_rows_exits_3_for_every_method(self, tmp_path, capsys):
+        # the row count is a property of the data, whichever stage meets it first
+        data = _write(tmp_path / "two.csv", "a,b,c,y\n1,2,3,4\n5,6,7,9\n")
+        for method in ("sngm", "ingm", "s_sngm", "s_ingm"):
+            out = tmp_path / method
+            code = main(["select", "--data", str(data), *SELECT_FLAGS,
+                         "--method", method, "--out", str(out)])
+            capsys.readouterr()
+            assert code == 3, method
+            record = json.loads((out / "error.json").read_text())
+            assert record["error"] == "InvalidDataError"
+            assert sorted(os.listdir(out)) == ["error.json"]
 
     def test_bad_q_exits_2(self, tmp_path, capsys):
         sim = _simulate(tmp_path, "sim4")

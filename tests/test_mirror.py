@@ -5,10 +5,10 @@ import pytest
 from scipy.stats import binomtest
 
 from mirrorselect import (
-    ConfigurationError,
     Dataset,
     DegeneratePerturbationError,
     DesignSpec,
+    InvalidDataError,
     KernelSpec,
     ModelSpec,
     RngSeed,
@@ -87,6 +87,18 @@ def test_reconstruction_invariant_sweep(gen):
                 (pair.x_plus - pair.x_minus) / (2.0 * pair.c), pair.z,
                 rtol=1e-12, atol=1e-12,
             )
+
+
+@pytest.mark.parametrize("spec", [LINEAR, KernelSpec("gaussian")], ids=["linear", "gaussian"])
+def test_halves_are_x_plus_and_minus_one_shift(gen, spec):
+    # both halves come from one product c z, so flipping the sign of z
+    # swaps them bit for bit
+    ds = _dataset(gen, n=100, p=20)
+    for j, pair in enumerate(make_all_mirrors(ds, spec, RngSeed(11))):
+        x = ds.x[:, j]
+        np.testing.assert_array_equal(pair.x_plus, x + pair.c * pair.z)
+        np.testing.assert_array_equal(pair.x_minus, x - pair.c * pair.z)
+        np.testing.assert_array_equal(pair.x_minus, x + pair.c * -pair.z)
 
 
 def test_recovered_c_matches_dense_grid(gen):
@@ -211,7 +223,9 @@ def test_degenerate_conditioning_names_feature(gen):
 def test_minimum_rows_validated(gen):
     x = gen.standard_normal((2, 3))
     ds = Dataset(x, np.zeros(2))
-    with pytest.raises(ConfigurationError):
+    # the row count comes with the data, so it is bad data (exit 3), as in
+    # screening
+    with pytest.raises(InvalidDataError, match="mirroring needs n >= 3 rows, got 2"):
         make_all_mirrors(ds, LINEAR, RngSeed(0))
 
 
