@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its integer check.
 
 Every error carries an ``exit_code`` used by the command line front end:
 2 for configuration problems, 3 for bad input data, 4 for numerical
@@ -6,6 +6,8 @@ failures, 5 for training failures.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class MirrorSelectError(Exception):
@@ -51,3 +53,13 @@ class TrainingError(MirrorSelectError):
         super().__init__(message)
         self.trace = None if trace is None else [float(v) for v in trace]
         self.feature_index = feature_index
+
+
+def _check_integer(value, name: str, minimum: int) -> int:
+    """An int or numpy integer of at least ``minimum``, as a Python int;
+    anything else (a bool, a float) raises ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)

@@ -17,13 +17,14 @@ take data and validate it once; the private ``_gram``, ``_center`` and
 ``_dependence`` behind them trust their arguments.  ``_center``
 double-centers an exactly symmetric matrix in place, so ``_dependence``
 overwrites the K_U and K_V it is given.  The non-linear c-search
-builds one ``_Objective`` per feature.  It holds K_W with its magnitude,
-the bound c_max, and, for the gaussian family, the pairwise differences
-of x and of z scaled by the bandwidth resolved from x (x and z for the
-polynomial family), and it owns two n x n buffers.  An evaluation
-overwrites the buffers with the halves' Grams and centers them there;
-it allocates no n x n array.  ``_linear_closed_form`` forms the linear
-quartic's inputs for ``minimize_c`` and the mirror construction alike.
+builds one ``_Objective`` per feature.  It holds K_W, the bound c_max,
+and, for the gaussian family, the pairwise differences of x and of z
+scaled by the bandwidth resolved from x (x and z for the polynomial
+family), and it owns two n x n buffers.  An evaluation overwrites the
+buffers with the halves' Grams and centers them there; it allocates no
+n x n array and reads no Gram's magnitude unless the measure comes out
+negative.  ``_linear_closed_form`` solves the linear quartic for c, for
+``minimize_c`` and the mirror construction alike.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     DegeneratePerturbationError,
     InvalidDataError,
     NumericalError,
+    _check_integer,
 )
 
 _FAMILIES = ("linear", "gaussian", "polynomial")
@@ -75,10 +77,7 @@ class KernelSpec:
                     f"bandwidth must be positive and finite, got {self.bandwidth}"
                 )
             object.__setattr__(self, "bandwidth", bw)
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ConfigurationError(
-                f"polynomial degree must be an integer >= 1, got {self.degree}"
-            )
+        object.__setattr__(self, "degree", _check_integer(self.degree, "polynomial degree", 1))
         offset = float(self.offset)
         if not math.isfinite(offset) or offset < 0:
             # (x.y + offset)^degree is not positive semidefinite below 0.
@@ -205,24 +204,24 @@ def _magnitude(k: np.ndarray) -> float:
     return max(float(k.max()), -float(k.min()))
 
 
-def _dependence(
-    k_u: np.ndarray, k_v: np.ndarray, k_w: np.ndarray, k_w_max: float
-) -> float:
-    """The measure on three same-shape symmetric Gram matrices, given
-    max |K_W|; a non-finite entry (an overflowing kernel) raises
-    NumericalError.  K_U and K_V must be exactly symmetric, and are
-    centered in place: the caller's two matrices are overwritten."""
+def _dependence(k_u: np.ndarray, k_v: np.ndarray, k_w: np.ndarray) -> float:
+    """The measure on three same-shape symmetric Gram matrices; a
+    non-finite entry (an overflowing kernel) raises NumericalError.  K_U
+    and K_V must be exactly symmetric, and are centered in place: the
+    caller's two matrices are overwritten.  Only a negative value, which
+    PSD Grams reach only by rounding, reads the three magnitudes."""
     n = k_u.shape[0]
     _center(k_u)
     _center(k_v)
     value = float(np.einsum("ij,ij,ij->", k_u, k_v, k_w)) / (n * n)
-    scale = max(1.0, _magnitude(k_u) * _magnitude(k_v) * k_w_max)
     if not math.isfinite(value):
         raise NumericalError("dependence measure is non-finite")
-    if value < -1e-9 * scale:
-        raise NumericalError(
-            f"dependence measure is negative beyond tolerance: {value}"
-        )
+    if value < 0.0:
+        scale = max(1.0, _magnitude(k_u) * _magnitude(k_v) * _magnitude(k_w))
+        if value < -1e-9 * scale:
+            raise NumericalError(
+                f"dependence measure is negative beyond tolerance: {value}"
+            )
     return max(value, 0.0)
 
 
@@ -243,19 +242,16 @@ def conditional_dependence(
     if k_v.shape[0] != n:
         raise InvalidDataError(f"u has {n} rows and v has {k_v.shape[0]}")
     k_w = _gram_w(_conditioning_block(w, n), spec, n)
-    return _dependence(k_u, k_v, k_w, _magnitude(k_w))
+    return _dependence(k_u, k_v, k_w)
 
 
 @dataclass(frozen=True)
 class CMinimizationResult:
-    """Outcome of a perturbation-scale optimization.
-
-    ``objective_at_c_star`` is the squared dependence measure at the
-    returned scale; ``evaluations`` is 0 for the linear closed form.
-    """
+    """Outcome of a perturbation-scale optimization: the scale and the
+    number of objective evaluations that chose it (0 for the linear
+    closed form)."""
 
     c_star: float
-    objective_at_c_star: float
     evaluations: int
 
 
@@ -290,7 +286,6 @@ def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizatio
     The quartic's coefficients are inner products of W'x**2, W'z**2 and
     |W|'z**2 (squares entrywise); ``drop`` removes that column's entry
     from each, so a full design can stand in for W without a copy."""
-    n = x.shape[0]
     x = x - x.mean()
     z = z - z.mean()
     x2 = x * x
@@ -317,11 +312,7 @@ def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizatio
             "perturbation-scale denominator vanishes; the perturbation is "
             "invisible to the conditioning block"
         )
-    c_sq = max(beta, 0.0) / gamma
-    c = math.sqrt(c_sq)
-    value = alpha - 2.0 * beta * c_sq + gamma * c_sq * c_sq
-    measure = max(value, 0.0) / (n * n)
-    return CMinimizationResult(c, measure * measure, 0)
+    return CMinimizationResult(math.sqrt(max(beta, 0.0) / gamma), 0)
 
 
 def _golden_section(f, a: float, b: float, tol: float):
@@ -355,23 +346,22 @@ def _golden_section(f, a: float, b: float, tol: float):
 class _Objective:
     """One feature's c-search objective, c -> dep(x + c z, x - c z | W)**2.
 
-    What does not depend on c is built once, here: K_W with its
-    magnitude, c_max, and what the halves' kernel needs of x and z.  For
-    the gaussian family that is the bandwidth-scaled pairwise differences
-    x_i - x_k and z_i - z_k (scaled by 1 / (sqrt(2) h), h resolved from
-    x), so that K_U = exp(-(dx + c dz)**2) and K_V = exp(-(dx - c dz)**2);
-    for the polynomial family it is x and z themselves.  The object also
-    owns two n x n buffers (and a third, scratch for the power, for a
-    polynomial degree that is not a power of two).  A call overwrites
-    them with K_U and K_V (``halves``), centers them in place and checks
-    only the resulting value (``_dependence``); the held differences and
-    K_W are only read.
+    What does not depend on c is built once, here: K_W, c_max, and what
+    the halves' kernel needs of x and z.  For the gaussian family that is
+    the bandwidth-scaled pairwise differences x_i - x_k and z_i - z_k
+    (scaled by 1 / (sqrt(2) h), h resolved from x), so that
+    K_U = exp(-(dx + c dz)**2) and K_V = exp(-(dx - c dz)**2); for the
+    polynomial family it is x and z themselves.  The object also owns two
+    n x n buffers (and a third, scratch for the power, for a polynomial
+    degree that is not a power of two).  A call overwrites them with K_U
+    and K_V (``halves``), centers them in place and checks only the
+    resulting value (``_dependence``) and its square; the held
+    differences and K_W are only read.
     """
 
     def __init__(self, x, z, w_block, spec: KernelSpec, search: SearchConfig):
         n = x.shape[0]
         self.k_w = _gram_w(w_block, spec, n)
-        self.k_w_max = _magnitude(self.k_w)
         self.c_max = (
             search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
         )
@@ -414,8 +404,11 @@ class _Objective:
         return k_u, k_v
 
     def __call__(self, c: float) -> float:
-        value = _dependence(*self.halves(c), self.k_w, self.k_w_max)
-        return value * value
+        value = _dependence(*self.halves(c), self.k_w)
+        squared = value * value
+        if not math.isfinite(squared):
+            raise NumericalError(f"objective is non-finite at c={c}")
+        return squared
 
 
 def minimize_c(
@@ -465,7 +458,9 @@ def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimization
     """The grid-bracketed golden-section search of ``minimize_c``."""
     c_max = objective.c_max
     if c_max == 0.0:
-        return CMinimizationResult(0.0, objective(0.0), 1)
+        # the one evaluation still catches a kernel that overflows on x
+        objective(0.0)
+        return CMinimizationResult(0.0, 1)
 
     grid = np.linspace(0.0, c_max, _BRACKET_POINTS)
     values = [objective(c) for c in grid]
@@ -473,7 +468,4 @@ def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimization
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     c_star, refinements = _golden_section(objective, lo, hi, search.tol_factor * c_max)
-    result_value = objective(c_star)
-    if not math.isfinite(result_value):
-        raise NumericalError(f"objective is non-finite at c={c_star}")
-    return CMinimizationResult(float(c_star), result_value, len(values) + refinements + 1)
+    return CMinimizationResult(float(c_star), len(values) + refinements)

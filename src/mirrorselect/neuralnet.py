@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDataError, TrainingError
+from .errors import ConfigurationError, InvalidDataError, TrainingError, _check_integer
 from .rng import RngSeed
 
 _SCALE_FLOOR = 1e-12
@@ -82,21 +82,17 @@ class NetConfig:
 
     def __post_init__(self):
         if self.hidden_sizes is not None:
-            sizes = tuple(int(s) for s in self.hidden_sizes)
+            sizes = tuple(_check_integer(s, "hidden size", 1) for s in self.hidden_sizes)
             if not sizes:
                 raise ConfigurationError("at least one hidden layer is required")
-            if any(s < 1 for s in sizes):
-                raise ConfigurationError(f"hidden sizes must be positive: {sizes}")
             object.__setattr__(self, "hidden_sizes", sizes)
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(
                 f"unknown activation {self.activation!r}; "
                 f"expected one of {sorted(ACTIVATIONS)}"
             )
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ConfigurationError(f"epochs must be a nonnegative integer, got {self.epochs}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be a positive integer, got {self.batch_size}")
+        object.__setattr__(self, "epochs", _check_integer(self.epochs, "epochs", 0))
+        object.__setattr__(self, "batch_size", _check_integer(self.batch_size, "batch_size", 1))
         lr = float(self.learning_rate)
         if not math.isfinite(lr) or lr <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")

@@ -34,7 +34,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigurationError, InvalidDataError, MirrorSelectError, TrainingError
+from .errors import (
+    ConfigurationError, InvalidDataError, MirrorSelectError, TrainingError, _check_integer
+)
 from .kernelmeasure import KernelSpec
 from .mirror import make_all_mirrors
 from .neuralnet import NetConfig, path_importance, train, train_many
@@ -130,8 +132,8 @@ class ScreenOptions:
     m_keep: int | None = None
 
     def __post_init__(self):
-        if self.m_keep is not None and self.m_keep < 1:
-            raise ConfigurationError(f"m_keep must be positive, got {self.m_keep}")
+        if self.m_keep is not None:
+            object.__setattr__(self, "m_keep", _check_integer(self.m_keep, "m_keep", 1))
 
 
 @dataclass(frozen=True)

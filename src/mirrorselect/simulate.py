@@ -20,7 +20,9 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .dataset import Dataset
-from .errors import ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError
+from .errors import (
+    ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError, _check_integer
+)
 from .kernelmeasure import KernelSpec
 from .neuralnet import _GROUP_BYTES, NetConfig
 from .rng import RngSeed
@@ -50,8 +52,8 @@ class DesignSpec:
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise ConfigurationError(f"n and p must be positive, got ({self.n}, {self.p})")
+        object.__setattr__(self, "n", _check_integer(self.n, "n", 1))
+        object.__setattr__(self, "p", _check_integer(self.p, "p", 1))
         if self.structure not in _STRUCTURES:
             raise ConfigurationError(
                 f"unknown structure {self.structure!r}; expected one of {_STRUCTURES}"
@@ -134,10 +136,7 @@ class ModelSpec:
                 )
         elif self.link is not None:
             raise ConfigurationError("linear models take no link")
-        if self.k_signals < 0:
-            raise ConfigurationError(
-                f"k_signals must be nonnegative, got {self.k_signals}"
-            )
+        object.__setattr__(self, "k_signals", _check_integer(self.k_signals, "k_signals", 0))
         if self.coef_sd is not None and not 0 < float(self.coef_sd) < math.inf:
             raise ConfigurationError(f"coef_sd must be positive and finite, got {self.coef_sd}")
         if not 0 <= float(self.noise_sd) < math.inf:
@@ -386,10 +385,8 @@ def run_benchmark(
         raise ConfigurationError(
             f"unknown method {method!r}; expected one of {METHODS}"
         )
-    if reps < 1:
-        raise ConfigurationError(f"reps must be positive, got {reps}")
-    if threads < 1:
-        raise ConfigurationError("threads must be at least 1")
+    reps = _check_integer(reps, "reps", 1)
+    threads = _check_integer(threads, "threads", 1)
     q = _check_q(q)
     _check_model(model, design.p)
     # Mirroring needs three rows; screening splits off a third of six.

@@ -153,12 +153,8 @@ def test_dependence_is_the_measure_on_the_public_grams(gen, spec, d_u, d_v):
         u = gen.standard_normal((n, d_u))
         v = gen.standard_normal((n, d_v))
         w = gen.standard_normal((n, 3))
-        k_w = gram_matrix(w, spec)
         expect = kernelmeasure._dependence(
-            gram_matrix(u, spec),
-            gram_matrix(v, spec),
-            k_w,
-            kernelmeasure._magnitude(k_w),
+            gram_matrix(u, spec), gram_matrix(v, spec), gram_matrix(w, spec)
         )
         assert conditional_dependence(u, v, w, spec) == expect
 
@@ -183,6 +179,27 @@ def test_dependence_overflow_is_numerical_error(gen):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite"):
             conditional_dependence(u, v, w, KernelSpec("polynomial", degree=400))
+
+
+def _correlated_grams(gen, n=12):
+    u = gen.standard_normal(n)
+    return gram_matrix(u, LINEAR), gram_matrix(u + 0.3 * gen.standard_normal(n), LINEAR)
+
+
+def test_dependence_rejects_a_non_psd_conditioning_gram(gen):
+    n = 12
+    k_u, k_v = _correlated_grams(gen, n)
+    with pytest.raises(NumericalError, match="negative beyond tolerance"):
+        kernelmeasure._dependence(k_u, k_v, -np.ones((n, n)))
+
+
+def test_dependence_clips_a_negative_value_within_tolerance(gen):
+    n = 12
+    k_u, k_v = _correlated_grams(gen, n)
+    k_w = -1e-12 * np.ones((n, n))
+    raw = naive_conditional_dependence(k_u, k_v, k_w)
+    assert -1e-9 < raw < 0.0
+    assert kernelmeasure._dependence(k_u, k_v, k_w) == 0.0
 
 
 def test_conditional_dependence_leaves_its_inputs_unchanged(gen):
@@ -296,7 +313,6 @@ def test_minimize_c_linear_delegates(gen):
     via = minimize_c(x, z, w, LINEAR)
     assert via.evaluations == 0
     assert via.c_star == direct.c_star
-    assert via.objective_at_c_star == direct.objective_at_c_star
 
 
 def test_minimize_c_gaussian_dense_grid_oracle(gen):
@@ -443,6 +459,41 @@ def test_minimize_c_overflow_is_numerical_error(gen):
         minimize_c(x, z, w, KernelSpec("polynomial", degree=400))
 
 
+def test_c_search_reads_no_magnitudes(gen, monkeypatch):
+    # the negativity guard reads the Grams' magnitudes only for a
+    # negative value, which this search never reaches
+    calls = []
+    magnitude = kernelmeasure._magnitude
+
+    def counting_magnitude(k):
+        calls.append(k.shape)
+        return magnitude(k)
+
+    monkeypatch.setattr(kernelmeasure, "_magnitude", counting_magnitude)
+    n = 20
+    res = minimize_c(
+        gen.standard_normal(n),
+        gen.standard_normal(n),
+        gen.standard_normal((n, 3)),
+        KernelSpec("gaussian"),
+    )
+    assert res.evaluations > 0
+    assert calls == []
+
+
+def test_minimize_c_overflowing_squared_measure_is_numerical_error(gen, monkeypatch):
+    # the measure is finite, its square is not: exit 4, not a c
+    monkeypatch.setattr(kernelmeasure, "_dependence", lambda *grams: 1e200)
+    n = 10
+    with pytest.raises(NumericalError, match="objective is non-finite"):
+        minimize_c(
+            gen.standard_normal(n),
+            gen.standard_normal(n),
+            None,
+            KernelSpec("gaussian", bandwidth=1.0),
+        )
+
+
 class _PublicObjective:
     """minimize_c's objective from the public Grams, resolved as
     minimize_c's docstring says: an unset gaussian bandwidth from x for
@@ -470,21 +521,22 @@ class _PublicObjective:
             gram_matrix(self.x + c * self.z, self.spec),
             gram_matrix(self.x - c * self.z, self.spec),
             self.k_w,
-            kernelmeasure._magnitude(self.k_w),
         )
         return value * value
 
 
 def _assert_is_the_public_search(res, x, z, w, spec):
-    # The private objective forms its Grams and centering in another
-    # order than the public measure, so the objective agrees to rtol
-    # 1e-12; c* and the evaluation count of the same grid and
-    # golden-section search driven by the public functions agree exactly.
-    ref = kernelmeasure._scalar_search(_PublicObjective(x, z, w, spec), SearchConfig())
+    # c* and the evaluation count of the same grid and golden-section
+    # search driven by the public functions agree exactly.  The private
+    # objective forms its Grams and centering in another order than the
+    # public measure, so at c* the two agree to rtol 1e-12.
+    public = _PublicObjective(x, z, w, spec)
+    ref = kernelmeasure._scalar_search(public, SearchConfig())
     assert res.c_star == ref.c_star
     assert res.evaluations == ref.evaluations
+    private = kernelmeasure._Objective(x, z, w, spec, SearchConfig())
     np.testing.assert_allclose(
-        res.objective_at_c_star, ref.objective_at_c_star, rtol=1e-12, atol=0
+        private(res.c_star), public(res.c_star), rtol=1e-12, atol=0
     )
 
 
@@ -530,7 +582,7 @@ def test_minimize_c_does_not_revalidate_grams(gen, monkeypatch):
     ],
     ids=["gaussian-no-w", "gaussian-w3", "polynomial-w3"],
 )
-def test_objective_at_c_star_is_the_public_measure(gen, spec, w_columns):
+def test_objective_at_the_chosen_c_is_the_public_measure(gen, spec, w_columns):
     n = 20
     x = gen.standard_normal(n)
     z = gen.standard_normal(n)

@@ -539,3 +539,30 @@ def test_trained_net_shape_validation():
         TrainedNet([np.zeros((2, 2))], [np.zeros(2)])  # two outputs
     with pytest.raises(ConfigurationError):
         TrainedNet([], [])
+
+
+_ONE_LAYER = ([np.zeros((2, 1))], [np.zeros(1)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TrainedNet([np.zeros((2, 1))], []), ConfigurationError, "pair up"),
+        (lambda: TrainedNet(*_ONE_LAYER, activation="sigmoid"), ConfigurationError,
+         "unknown activation"),
+        (lambda: TrainedNet([np.zeros(2)], [np.zeros(1)]), ConfigurationError, "must be 2-d"),
+        (lambda: TrainedNet([np.zeros((2, 1))], [np.zeros(2)]), ConfigurationError,
+         "bias 0 has length 2"),
+        (lambda: TrainedNet(*_ONE_LAYER).predict(np.zeros((4, 3))), InvalidDataError,
+         "net expects 2"),
+        (lambda: train(np.zeros((8, 2, 2)), np.zeros(8), NetConfig(batch_size=4)),
+         InvalidDataError, "must be 2-d"),
+        (lambda: train(np.zeros((8, 2)), np.zeros(7), NetConfig(batch_size=4)),
+         InvalidDataError, "8 rows but targets have 7"),
+    ],
+    ids=["unpaired", "activation", "weight-1d", "bias-length", "predict-width",
+         "train-3d", "train-rows"],
+)
+def test_net_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -480,6 +480,23 @@ class TestScreenedPipelines:
         assert res.method == "s_ingm"
         assert np.sum(res.screened_out) == 6 - 3
 
+    def test_default_screen_keeps_default_m_keep(self):
+        # n // 2 < p, so the default keeps fewer columns than there are
+        rng = RngSeed(44)
+        ds, _ = _linear_dataset(rng, 24, 16, k=2)
+        m_keep = default_m_keep(24, 16)
+        assert m_keep == 12
+        runs = [
+            run_sngm(ds, q=0.2, spec=LINEAR, net=FAST_NET, rng=rng, screen_opts=opts)
+            for opts in (ScreenOptions(), ScreenOptions(m_keep=m_keep))
+        ]
+        assert len(runs[0].screen.kept) == m_keep
+        assert np.sum(runs[0].screened_out) == 16 - m_keep
+        default, explicit = (r.to_json_dict() for r in runs)
+        del default["timing"], explicit["timing"]
+        assert default == explicit
+        np.testing.assert_array_equal(runs[0].screen.importances, runs[1].screen.importances)
+
 
 class TestStackedPipeline:
     """``selection._run`` over several datasets at once: every fit of a

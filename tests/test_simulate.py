@@ -11,6 +11,7 @@ from mirrorselect import (
     ConfigurationError,
     DesignSpec,
     InvalidDataError,
+    KernelSpec,
     ModelSpec,
     NetConfig,
     RngSeed,
@@ -501,6 +502,17 @@ class TestRunBenchmark:
         assert all("TrainingError" in msg for _, msg in result.failures)
         assert math.isnan(result.mean_fdp)
 
+    def test_screening_method_defaults_to_default_screen_options(self):
+        design = DesignSpec(24, 16, "identity")
+        model = ModelSpec(k_signals=2, coef_sd=3.0)
+        net = NetConfig(hidden_sizes=(8,), epochs=20, batch_size=16)
+        runs = [
+            run_benchmark(design, model, "s_sngm", 0.2, 2, RngSeed(13), net=net, **opts)
+            for opts in ({}, {"screen_opts": ScreenOptions()})
+        ]
+        assert runs[0].rows
+        assert _benchmark_fields(runs[0]) == _benchmark_fields(runs[1])
+
     def test_bad_arguments_rejected(self):
         design = DesignSpec(30, 4, "identity")
         model = ModelSpec(k_signals=1)
@@ -524,6 +536,51 @@ class TestRunBenchmark:
                 run_benchmark(design, model, threads=threads)
         with pytest.raises(ConfigurationError, match="only applies to the screening"):
             run_benchmark(design, model, method="sngm", screen_opts=ScreenOptions(m_keep=2))
+
+
+_SMALL_NET = NetConfig(hidden_sizes=(4,), epochs=2, batch_size=8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_design(DesignSpec(10.5, 3)),
+        lambda: DesignSpec(10, np.float64(3.0)),
+        lambda: sample_response(np.ones((10, 3)), ModelSpec(k_signals=1.5)),
+        lambda: run_sngm(
+            Dataset(np.arange(30.0).reshape(10, 3) ** 2, np.arange(10.0)),
+            net=_SMALL_NET,
+            screen_opts=ScreenOptions(m_keep=2.5),
+        ),
+        lambda: run_benchmark(DesignSpec(20, 3), ModelSpec(k_signals=1), reps=2.5,
+                              net=_SMALL_NET),
+        lambda: run_benchmark(DesignSpec(20, 3), ModelSpec(k_signals=1), threads=1.5,
+                              net=_SMALL_NET),
+        lambda: NetConfig(hidden_sizes=(3.7,)),
+        lambda: NetConfig(epochs=True),
+        lambda: NetConfig(batch_size=True),
+        lambda: KernelSpec("polynomial", degree=True),
+    ],
+    ids=[
+        "design-n", "design-p", "k_signals", "m_keep", "reps", "threads",
+        "hidden_sizes", "epochs", "batch_size", "degree",
+    ],
+)
+def test_integer_settings_reject_non_integers(call):
+    # neither truncated nor a TypeError: a configuration error (exit 2)
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        call()
+
+
+def test_integer_settings_store_numpy_integers_as_int():
+    design = DesignSpec(np.int64(10), np.int32(3))
+    net = NetConfig(hidden_sizes=(np.int64(3),), epochs=np.int16(5), batch_size=np.uint8(4))
+    values = (design.n, design.p, *net.hidden_sizes, net.epochs, net.batch_size,
+              ModelSpec(k_signals=np.int64(2)).k_signals,
+              ScreenOptions(m_keep=np.int64(2)).m_keep,
+              KernelSpec("polynomial", degree=np.int64(3)).degree)
+    assert values == (10, 3, 3, 5, 4, 2, 2, 3)
+    assert all(type(v) is int for v in values)
 
 
 def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
