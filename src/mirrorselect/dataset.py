@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidDataError
+from .errors import InvalidDataError, _set_fields
 
 # Columns whose standard deviation falls below this are treated as constant.
 _CONST_TOL = 1e-12
@@ -57,9 +57,7 @@ class Dataset:
             raise InvalidDataError("column names must be unique")
         x.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "names", names)
+        _set_fields(self, x=x, y=y, names=names)
 
     @property
     def n(self) -> int:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its integer check.
+"""Exception hierarchy shared across the package, and the setting checks.
 
 Every error carries an ``exit_code`` used by the command line front end:
 2 for configuration problems, 3 for bad input data, 4 for numerical
@@ -7,7 +7,9 @@ failures, 5 for training failures.
 
 from __future__ import annotations
 
+import math
 import numbers
+from functools import partial
 
 
 class MirrorSelectError(Exception):
@@ -55,11 +57,38 @@ class TrainingError(MirrorSelectError):
         self.feature_index = feature_index
 
 
-def _check_integer(value, name: str, minimum: int) -> int:
-    """An int or numpy integer of at least ``minimum``, as a Python int;
-    anything else (a bool, a float) raises ConfigurationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
+def _check_number(value, name: str, low=-math.inf, high=math.inf, strict=False, integer=False):
+    """``value`` as a Python float (int if ``integer``): a finite real (an
+    integer), numpy scalars included but not bools or strings, at least
+    ``low`` (above it if ``strict``) and below ``high``, or ConfigurationError."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a real number"
+        raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
+    value = int(value) if integer else float(value)
+    if abs(value) < math.inf and (low < value if strict else low <= value) and value < high:
+        return value
+    if high < math.inf:
+        rule = f"lie in {'(' if strict else '['}{low}, {high})"
+    elif low == 0 and not integer:
+        rule = f"be {'positive' if strict else 'nonnegative'} and finite"
+    else:
+        rule = f"be at least {low}" if low > -math.inf else "be finite"
+    raise ConfigurationError(f"{name} must {rule}, got {value!r}")
+
+
+_check_integer = partial(_check_number, integer=True)
+
+
+def _check_choice(value, name: str, choices) -> str:
+    """``value`` as a Python str, if it is a string among ``choices``;
+    anything else raises ConfigurationError listing them."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigurationError(f"unknown {name} {value!r}; expected one of {sorted(choices)}")
+    return str(value)
+
+
+def _set_fields(obj, **values) -> None:
+    """Store checked values on a frozen dataclass instance."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)

@@ -30,16 +30,14 @@ negative.  ``_linear_closed_form`` solves the linear quartic for c, for
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
-    DegeneratePerturbationError,
-    InvalidDataError,
-    NumericalError,
-    _check_integer,
+    DegeneratePerturbationError, InvalidDataError, NumericalError,
+    _check_choice, _check_integer, _check_number, _set_fields,
 )
 
 _FAMILIES = ("linear", "gaussian", "polynomial")
@@ -55,9 +53,10 @@ _BRACKET_POINTS = 48
 class KernelSpec:
     """Kernel family plus its parameters.
 
-    ``bandwidth`` applies to the gaussian family; ``None`` means "resolve
-    by the median pairwise distance heuristic at evaluation time".
-    ``degree`` and ``offset`` apply to the polynomial family.
+    ``bandwidth`` (> 0, a float) applies to the gaussian family; ``None``
+    means "resolve by the median pairwise distance heuristic at evaluation
+    time".  ``degree`` (int >= 1) and ``offset`` (float >= 0) apply to the
+    polynomial family.
     """
 
     family: str = "gaussian"
@@ -66,24 +65,15 @@ class KernelSpec:
     offset: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ConfigurationError(
-                f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
-            )
-        if self.bandwidth is not None:
-            bw = float(self.bandwidth)
-            if not math.isfinite(bw) or bw <= 0:
-                raise ConfigurationError(
-                    f"bandwidth must be positive and finite, got {self.bandwidth}"
-                )
-            object.__setattr__(self, "bandwidth", bw)
-        object.__setattr__(self, "degree", _check_integer(self.degree, "polynomial degree", 1))
-        offset = float(self.offset)
-        if not math.isfinite(offset) or offset < 0:
+        bw = self.bandwidth
+        _set_fields(
+            self,
+            family=_check_choice(self.family, "kernel family", _FAMILIES),
+            bandwidth=None if bw is None else _check_number(bw, "bandwidth", 0, strict=True),
+            degree=_check_integer(self.degree, "polynomial degree", 1),
             # (x.y + offset)^degree is not positive semidefinite below 0.
-            raise ConfigurationError(
-                f"polynomial offset must be finite and nonnegative, got {self.offset}"
-            )
+            offset=_check_number(self.offset, "polynomial offset", 0),
+        )
 
 
 def _as_block(data, label: str = "kernel input") -> np.ndarray:
@@ -261,52 +251,56 @@ class SearchConfig:
 
     The search interval is [0, c_max_factor * ||x|| / ||z||]; a coarse
     grid of 48 points locates the basin, then golden-section
-    refines to absolute tolerance tol_factor * c_max.
+    refines to absolute tolerance tol_factor * c_max.  Both factors are
+    finite reals, stored as float: c_max_factor > 0, tol_factor in (0, 1).
     """
 
     c_max_factor: float = 10.0
     tol_factor: float = 1e-6
 
     def __post_init__(self):
-        if not self.c_max_factor > 0:
-            raise ConfigurationError("c_max_factor must be positive")
-        if not 0 < self.tol_factor < 1:
-            raise ConfigurationError("tol_factor must lie in (0, 1)")
+        _set_fields(
+            self,
+            c_max_factor=_check_number(self.c_max_factor, "c_max_factor", 0, strict=True),
+            tol_factor=_check_number(self.tol_factor, "tol_factor", 0, 1, strict=True),
+        )
 
 
-def _column(data, label: str) -> np.ndarray:
-    v = np.asarray(data, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise InvalidDataError(f"{label} contains non-finite values")
-    return v
+@contextmanager
+def _raising(message: str):
+    """Raise numpy overflow and invalid values in the block as NumericalError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NumericalError(f"{message}: {err}") from err
 
 
 def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizationResult:
     """The linear ``minimize_c`` on checked inputs, given |W| as ``w_abs``.
     The quartic's coefficients are inner products of W'x**2, W'z**2 and
     |W|'z**2 (squares entrywise); ``drop`` removes that column's entry
-    from each, so a full design can stand in for W without a copy."""
-    x = x - x.mean()
-    z = z - z.mean()
-    x2 = x * x
-    z2 = z * z
-    products = (w.T @ x2, w.T @ z2, w_abs.T @ z2)
-    if drop is not None:
-        products = (np.delete(v, drop) for v in products)
-    wt_x2, wt_z2, abs_wt_z2 = products
-    if wt_x2.size == 0:
-        # Conditioning on nothing: K_W is all ones, as for the single
-        # column W = 1, so each product collapses to a sum.
-        wt_x2 = x2.sum(keepdims=True)
-        wt_z2 = abs_wt_z2 = z2.sum(keepdims=True)
-    alpha = float(wt_x2 @ wt_x2)
-    beta = float(wt_x2 @ wt_z2)
-    gamma = float(wt_z2 @ wt_z2)
-    # Cancellation-free magnitude of gamma: if gamma is tiny against
-    # this, the denominator is zero up to rounding.
-    denom_scale = float(abs_wt_z2 @ abs_wt_z2)
-    if not all(map(math.isfinite, (alpha, beta, gamma))):
-        raise NumericalError("quartic coefficients are non-finite")
+    from each, so a full design can stand in for W without a copy.  An
+    overflow raises NumericalError."""
+    with _raising("quartic coefficients are non-finite"):
+        x = x - x.mean()
+        z = z - z.mean()
+        x2 = x * x
+        z2 = z * z
+        products = (w.T @ x2, w.T @ z2, w_abs.T @ z2)
+        if drop is not None:
+            products = (np.delete(v, drop) for v in products)
+        wt_x2, wt_z2, abs_wt_z2 = products
+        if wt_x2.size == 0:
+            # Conditioning on nothing: K_W is all ones, as for the single
+            # column W = 1, so each product collapses to a sum.
+            wt_x2 = x2.sum(keepdims=True)
+            wt_z2 = abs_wt_z2 = z2.sum(keepdims=True)
+        beta = float(wt_x2 @ wt_z2)
+        gamma = float(wt_z2 @ wt_z2)
+        # Cancellation-free magnitude of gamma: if gamma is tiny against
+        # this, the denominator is zero up to rounding.
+        denom_scale = float(abs_wt_z2 @ abs_wt_z2)
     if gamma <= _DENOM_REL_TOL * max(denom_scale, 1e-300):
         raise DegeneratePerturbationError(
             "perturbation-scale denominator vanishes; the perturbation is "
@@ -420,12 +414,13 @@ def minimize_c(
 ) -> CMinimizationResult:
     """Scale c minimizing dep(x + c z, x - c z | w) over c >= 0.
 
-    ``x`` and ``z`` are single columns, ``w`` the remaining columns (None
-    or zero columns: condition on nothing).  Linear kernels take the
-    closed form: with x and z mean-centered, as the measure's centering
-    does to linear Grams, the objective is the even quartic
+    ``x`` and ``z`` are single columns (1-d or n x 1), ``w`` the remaining
+    columns (None or zero columns: condition on nothing).  Linear kernels
+    take the closed form: with x and z mean-centered, as the measure's
+    centering does to linear Grams, the objective is the even quartic
     a - 2 b c**2 + g c**4, minimized at sqrt(max(b, 0) / g); a z that is
-    zero or unseen by w (g vanishes) raises DegeneratePerturbationError.
+    zero or unseen by w (g vanishes) raises DegeneratePerturbationError,
+    and coefficients that overflow raise NumericalError.
 
     Other kernels use a coarse grid to bracket the best basin on
     [0, c_max] followed by golden-section refinement.  A gaussian
@@ -435,8 +430,10 @@ def minimize_c(
     high polynomial degree) raises NumericalError naming the kernel
     family.
     """
-    x = _column(x, "x")
-    z = _column(z, "z")
+    x, z = _as_block(x, "x"), _as_block(z, "z")
+    if x.shape[1] != 1 or z.shape[1] != 1:
+        raise InvalidDataError(f"x and z must be one column each, got {x.shape} and {z.shape}")
+    x, z = x[:, 0], z[:, 0]
     n = x.shape[0]
     if z.shape[0] != n:
         raise InvalidDataError(f"x and z disagree in length: {n} vs {z.shape[0]}")
@@ -447,11 +444,8 @@ def minimize_c(
     if spec.family == "linear":
         return _linear_closed_form(x, z, w_block, np.abs(w_block))
 
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _scalar_search(_Objective(x, z, w_block, spec, search), search)
-    except FloatingPointError as err:
-        raise NumericalError(f"{spec.family} kernel overflowed: {err}") from err
+    with _raising(f"{spec.family} kernel overflowed"):
+        return _scalar_search(_Objective(x, z, w_block, spec, search), search)
 
 
 def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimizationResult:

@@ -14,13 +14,17 @@ the fitted function at a point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDataError, TrainingError, _check_integer
-from .rng import RngSeed
+from .errors import (
+    ConfigurationError, InvalidDataError, TrainingError,
+    _check_choice, _check_integer, _check_number, _set_fields,
+)
+from .rng import RngSeed, _check_seed
 
 _SCALE_FLOOR = 1e-12
 
@@ -57,8 +61,7 @@ _GROUP_BYTES = 2_500_000
 
 def default_hidden_sizes(d: int) -> tuple[int, int]:
     """Two hidden layers scaled to the logarithm of the input width."""
-    if d < 1:
-        raise ConfigurationError(f"input width must be positive, got {d}")
+    d = _check_integer(d, "input width", 1)
     return (
         max(4, round(20.0 * math.log(d))),
         max(4, round(10.0 * math.log(d))),
@@ -70,7 +73,8 @@ class NetConfig:
     """Architecture and optimization settings.
 
     ``hidden_sizes=None`` defers to ``default_hidden_sizes`` applied to
-    the input width at training time.
+    the input width at training time.  Sizes and counts are kept as int,
+    the rate and scale as float.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -81,23 +85,22 @@ class NetConfig:
     weight_init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.hidden_sizes is not None:
-            sizes = tuple(_check_integer(s, "hidden size", 1) for s in self.hidden_sizes)
+        sizes = self.hidden_sizes
+        if sizes is not None:
+            if not isinstance(sizes, Iterable):
+                raise ConfigurationError(f"hidden_sizes must be a sequence, got {sizes!r}")
+            sizes = tuple(_check_integer(s, "hidden size", 1) for s in sizes)
             if not sizes:
                 raise ConfigurationError("at least one hidden layer is required")
-            object.__setattr__(self, "hidden_sizes", sizes)
-        if self.activation not in ACTIVATIONS:
-            raise ConfigurationError(
-                f"unknown activation {self.activation!r}; "
-                f"expected one of {sorted(ACTIVATIONS)}"
-            )
-        object.__setattr__(self, "epochs", _check_integer(self.epochs, "epochs", 0))
-        object.__setattr__(self, "batch_size", _check_integer(self.batch_size, "batch_size", 1))
-        lr = float(self.learning_rate)
-        if not math.isfinite(lr) or lr <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not math.isfinite(float(self.weight_init_scale)) or self.weight_init_scale < 0:
-            raise ConfigurationError("weight_init_scale must be nonnegative")
+        _set_fields(
+            self,
+            hidden_sizes=sizes,
+            activation=_check_choice(self.activation, "activation", ACTIVATIONS),
+            epochs=_check_integer(self.epochs, "epochs", 0),
+            batch_size=_check_integer(self.batch_size, "batch_size", 1),
+            learning_rate=_check_number(self.learning_rate, "learning_rate", 0, strict=True),
+            weight_init_scale=_check_number(self.weight_init_scale, "weight_init_scale", 0),
+        )
 
 
 @dataclass(eq=False)
@@ -123,8 +126,7 @@ class TrainedNet:
             raise ConfigurationError("weights and biases must pair up layer by layer")
         if not self.weights:
             raise ConfigurationError("network needs at least one layer")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+        self.activation = _check_choice(self.activation, "activation", ACTIVATIONS)
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
         self.biases = [np.asarray(b, dtype=float).reshape(-1) for b in self.biases]
         for t, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -321,9 +323,7 @@ def train_many(
     ``train`` would have raised for it.  A diverging net leaves the other
     nets' results unchanged.
     """
-    seeds = list(seeds)
-    if not all(isinstance(seed, RngSeed) for seed in seeds):
-        raise ConfigurationError("seeds must be RngSeed instances")
+    seeds = [_check_seed(seed, "each seed") for seed in seeds]
     k = len(seeds)
     pairs = [None] * k if paired_columns is None else list(paired_columns)
     if len(pairs) != k:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_integer, _set_fields
 
 _CHILD_BITS = 64
 _MAX_SEED = 2**64
@@ -32,31 +32,22 @@ def name_stream(name: str) -> int:
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Addressable random stream: root entropy plus a stream index."""
+    """Addressable random stream: root entropy ``seed`` in [0, 2**64) plus
+    a nonnegative stream index, each a Python or numpy integer, kept as int."""
 
     seed: int = 0
     stream: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError("seed must be an integer")
-        if not isinstance(self.stream, int) or isinstance(self.stream, bool):
-            raise ConfigurationError("stream must be an integer")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ConfigurationError(
-                f"seed must lie in [0, 2**64), got {self.seed}"
-            )
-        if self.stream < 0:
-            raise ConfigurationError(
-                f"stream must be nonnegative, got {self.stream}"
-            )
+        _set_fields(
+            self,
+            seed=_check_integer(self.seed, "seed", 0, _MAX_SEED),
+            stream=_check_integer(self.stream, "stream", 0),
+        )
 
     def child(self, index: int) -> "RngSeed":
         """Substream ``index`` of this stream (index must fit in 64 bits)."""
-        if not 0 <= index < 2**_CHILD_BITS:
-            raise ConfigurationError(
-                f"child index must lie in [0, 2**64), got {index}"
-            )
+        index = _check_integer(index, "child index", 0, 2**_CHILD_BITS)
         return RngSeed(self.seed, (self.stream << _CHILD_BITS) | index)
 
     def named_child(self, name: str) -> "RngSeed":
@@ -68,3 +59,10 @@ class RngSeed:
         # SeedSequence splits the stream into little-endian uint32 words.
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(seq)
+
+
+def _check_seed(rng, name: str = "rng") -> RngSeed:
+    """``rng`` if it is an RngSeed; anything else raises ConfigurationError."""
+    if not isinstance(rng, RngSeed):
+        raise ConfigurationError(f"{name} must be an RngSeed, got {rng!r}")
+    return rng

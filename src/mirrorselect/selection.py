@@ -35,12 +35,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import (
-    ConfigurationError, InvalidDataError, MirrorSelectError, TrainingError, _check_integer
+    ConfigurationError, InvalidDataError, MirrorSelectError, TrainingError,
+    _check_integer, _check_number,
 )
 from .kernelmeasure import KernelSpec
 from .mirror import make_all_mirrors
 from .neuralnet import NetConfig, path_importance, train, train_many
-from .rng import RngSeed
+from .rng import RngSeed, _check_seed
 
 _STREAM_SCREEN = 1
 _STREAM_MIRROR = 2
@@ -63,9 +64,7 @@ def mirror_statistic(l_plus, l_minus):
 
 def estimate_fdp(m, t: float) -> float:
     """Running false-discovery tally at threshold ``t`` (> 0)."""
-    t = float(t)
-    if not t > 0:
-        raise ConfigurationError(f"threshold must be positive, got {t}")
+    t = _check_number(t, "threshold", 0, strict=True)
     m = np.asarray(m, dtype=float)
     numerator = int(np.sum(m <= -t))
     denominator = max(int(np.sum(m >= t)), 1)
@@ -78,20 +77,12 @@ def threshold_candidates(m) -> np.ndarray:
     return np.unique(np.abs(m[m != 0.0]))
 
 
-def _check_q(q) -> float:
-    """The target FDR level as a float; it must lie in (0, 1)."""
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError(f"q must lie in (0, 1), got {q}")
-    return q
-
-
 def adaptive_threshold(m, q: float) -> float | None:
     """Smallest candidate threshold with estimated FDP at most ``q``.
 
     Returns None when no candidate qualifies (nothing is selected).
     """
-    q = _check_q(q)
+    q = _check_number(q, "q", 0, 1, strict=True)
     return next((t for t, fdp in fdp_curve(m) if fdp <= q), None)
 
 
@@ -279,10 +270,7 @@ def _screen_steps(dataset: Dataset, m_keep, rng: RngSeed):
         raise InvalidDataError(f"screening needs at least 6 rows, got {n}")
     if m_keep is None:
         m_keep = default_m_keep(n, p)
-    if not 1 <= m_keep <= p:
-        raise ConfigurationError(
-            f"m_keep must lie in [1, {p}], got {m_keep}"
-        )
+    m_keep = _check_integer(m_keep, "m_keep", 1, p + 1)
     n_split = n // 3
     split_rows = np.sort(
         rng.child(0).generator().choice(n, size=n_split, replace=False)
@@ -309,7 +297,7 @@ def screen(
     The split rows must not be reused downstream; callers fit the
     selection stage on the complement.
     """
-    return _one(_drive([_screen_steps(dataset, m_keep, rng)], config))
+    return _one(_drive([_screen_steps(dataset, m_keep, _check_seed(rng))], config))
 
 
 def _score_joint(mirrors, working, rng):
@@ -446,12 +434,12 @@ def _run(method, datasets, q, spec, net, rngs, screen_opts) -> list:
     is the call's wall time shared equally among the datasets.
     """
     t0 = time.perf_counter()
-    q = _check_q(q)
+    q = _check_number(q, "q", 0, 1, strict=True)
     score = _SCORERS[method]
     steps = [
         d
         if isinstance(d, MirrorSelectError)
-        else _select_steps(method, score, d, q, spec, rng, screen_opts)
+        else _select_steps(method, score, d, q, spec, _check_seed(rng), screen_opts)
         for d, rng in zip(datasets, rngs, strict=True)
     ]
     results = _drive(steps, net)

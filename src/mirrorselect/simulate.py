@@ -21,15 +21,16 @@ import numpy as np
 from ._parallel import parallel_map
 from .dataset import Dataset
 from .errors import (
-    ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError, _check_integer
+    ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError,
+    _check_choice, _check_integer, _check_number, _set_fields,
 )
 from .kernelmeasure import KernelSpec
 from .neuralnet import _GROUP_BYTES, NetConfig
-from .rng import RngSeed
+from .rng import RngSeed, _check_seed
 
 # ``run_sngm`` and ``run_ingm`` are not called here; they stay names of
 # this module because perfbench's tracer patches them here.
-from .selection import ScreenOptions, _check_q, _run, run_ingm, run_sngm  # noqa: F401
+from .selection import ScreenOptions, _run, run_ingm, run_sngm  # noqa: F401
 
 _STRUCTURES = ("identity", "toeplitz_pc", "constant_pc")
 
@@ -44,7 +45,8 @@ METHODS = ("ingm", "sngm", "s_ingm", "s_sngm")
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Row count, feature count and precision structure of the design."""
+    """Row count, feature count and precision structure of the design,
+    stored as int, int, str and float (``rho``)."""
 
     n: int
     p: int
@@ -52,24 +54,22 @@ class DesignSpec:
     rho: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_integer(self.n, "n", 1))
-        object.__setattr__(self, "p", _check_integer(self.p, "p", 1))
-        if self.structure not in _STRUCTURES:
+        _set_fields(
+            self,
+            n=_check_integer(self.n, "n", 1),
+            p=_check_integer(self.p, "p", 1),
+            structure=_check_choice(self.structure, "structure", _STRUCTURES),
+            rho=_check_number(self.rho, "rho"),
+        )
+        rho = self.rho
+        if self.structure == "toeplitz_pc":
+            _check_number(rho, "toeplitz rho", -1, 1, strict=True)
+        # Positive definiteness of (1-rho) I + rho 11'.
+        if self.structure == "constant_pc" and not (1.0 + (self.p - 1) * rho > 0.0 and rho < 1.0):
             raise ConfigurationError(
-                f"unknown structure {self.structure!r}; expected one of {_STRUCTURES}"
+                f"constant partial correlation rho={rho} is not positive "
+                f"definite at p={self.p}"
             )
-        rho = float(self.rho)
-        if not math.isfinite(rho):
-            raise ConfigurationError(f"rho must be finite, got {rho}")
-        if self.structure == "toeplitz_pc" and not -1.0 < rho < 1.0:
-            raise ConfigurationError(f"toeplitz rho must lie in (-1, 1), got {rho}")
-        if self.structure == "constant_pc":
-            # Positive definiteness of (1-rho) I + rho 11'.
-            if not (1.0 + (self.p - 1) * rho > 0.0 and rho < 1.0):
-                raise ConfigurationError(
-                    f"constant partial correlation rho={rho} is not positive "
-                    f"definite at p={self.p}"
-                )
 
 
 def precision_matrix(spec: DesignSpec) -> np.ndarray:
@@ -115,7 +115,7 @@ class ModelSpec:
 
     Sampling a response draws its support, ``k_signals`` indices chosen
     uniformly without replacement (0: pure noise), and resolves
-    ``coef_sd=None`` to ``default_coef_sd(n, p)``.
+    ``coef_sd=None`` to ``default_coef_sd(n, p)``.  Scales are kept as float.
     """
 
     kind: str = "linear"
@@ -125,22 +125,17 @@ class ModelSpec:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "single_index"):
-            raise ConfigurationError(
-                f"unknown model kind {self.kind!r}; expected linear or single_index"
-            )
-        if self.kind == "single_index":
-            if self.link not in LINKS:
-                raise ConfigurationError(
-                    f"single_index models need a link in {sorted(LINKS)}, got {self.link!r}"
-                )
-        elif self.link is not None:
+        sd = self.coef_sd
+        _set_fields(
+            self,
+            kind=_check_choice(self.kind, "model kind", ("linear", "single_index")),
+            link=self.link if self.kind == "linear" else _check_choice(self.link, "link", LINKS),
+            k_signals=_check_integer(self.k_signals, "k_signals", 0),
+            coef_sd=None if sd is None else _check_number(sd, "coef_sd", 0, strict=True),
+            noise_sd=_check_number(self.noise_sd, "noise_sd", 0),
+        )
+        if self.kind == "linear" and self.link is not None:
             raise ConfigurationError("linear models take no link")
-        object.__setattr__(self, "k_signals", _check_integer(self.k_signals, "k_signals", 0))
-        if self.coef_sd is not None and not 0 < float(self.coef_sd) < math.inf:
-            raise ConfigurationError(f"coef_sd must be positive and finite, got {self.coef_sd}")
-        if not 0 <= float(self.noise_sd) < math.inf:
-            raise ConfigurationError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)
@@ -381,13 +376,11 @@ def run_benchmark(
     screening methods, ``screen_opts=None`` enables screening with
     defaults; the other methods take no ``screen_opts``.
     """
-    if method not in METHODS:
-        raise ConfigurationError(
-            f"unknown method {method!r}; expected one of {METHODS}"
-        )
+    method = _check_choice(method, "method", METHODS)
     reps = _check_integer(reps, "reps", 1)
     threads = _check_integer(threads, "threads", 1)
-    q = _check_q(q)
+    q = _check_number(q, "q", 0, 1, strict=True)
+    rng = _check_seed(rng)
     _check_model(model, design.p)
     # Mirroring needs three rows; screening splits off a third of six.
     min_rows = 6 if method.startswith("s_") else 3
@@ -398,10 +391,8 @@ def run_benchmark(
     if method.startswith("s_"):
         if screen_opts is None:
             screen_opts = ScreenOptions()
-        if screen_opts.m_keep is not None and screen_opts.m_keep > design.p:
-            raise ConfigurationError(
-                f"m_keep must lie in [1, {design.p}], got {screen_opts.m_keep}"
-            )
+        if screen_opts.m_keep is not None:
+            _check_integer(screen_opts.m_keep, "m_keep", 1, design.p + 1)
     elif screen_opts is not None:
         raise ConfigurationError(
             "screen_opts only applies to the screening methods (s_ingm, s_sngm)"

@@ -1,5 +1,6 @@
 """Tests for CSV/JSON persistence and the command line front end."""
 
+import argparse
 import csv
 import json
 import logging
@@ -33,7 +34,7 @@ from mirrorselect import (
     write_dataset_csv,
     write_json,
 )
-from mirrorselect.cli import main
+from mirrorselect.cli import _parse_hidden, _parse_threads, main
 
 
 def _write(path, text):
@@ -299,6 +300,19 @@ class TestLoadTruth:
         assert load_truth(path) == frozenset({0, 3})
 
 
+def test_threads_and_hidden_parsers():
+    assert _parse_threads("auto") == (os.cpu_count() or 1)
+    assert _parse_threads("3") == 3
+    for value, message in (("two", "must be an integer or 'auto'"), ("0", "at least 1")):
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            _parse_threads(value)
+    assert _parse_hidden("auto") is None
+    assert _parse_hidden("8, 4,") == (8, 4)
+    for value, message in (("8,x", "comma-separated integers"), (" , ", "must not be empty")):
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            _parse_hidden(value)
+
+
 def test_error_exit_codes():
     # the command line maps every error family to its own exit code
     assert ConfigurationError("x").exit_code == 2
@@ -350,7 +364,7 @@ class TestCli:
         # modules it has loaded: the runtime needs none
         script = textwrap.dedent("""
             import sys
-            from mirrorselect.cli import main
+            from mirrorselect.cli import _parse_hidden, _parse_threads, main
             out = sys.argv[1]
             design = ["--n", "40", "--p", "4", "--k", "1",
                       "--structure", "toeplitz", "--rho", "0.5"]
@@ -775,6 +789,51 @@ class TestCli:
         assert len(summary["failures"]) == 2
         for key in ("mean_fdp", "se_fdp", "mean_power", "se_power", "mean_fpr"):
             assert summary[key] is None
+
+    def test_one_rep_benchmark_writes_zero_standard_errors(self, tmp_path, capsys):
+        out = tmp_path / "bench1"
+        code = main(["benchmark", "--n", "30", "--p", "4", "--k", "1", "--reps", "1",
+                     "--q", "0.2", "--hidden", "4", "--epochs", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["completed"] == 1
+        assert (summary["se_fdp"], summary["se_power"]) == (0.0, 0.0)
+
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = _write(tmp_path / "file", "")
+        code = main(["simulate", "--n", "10", "--p", "3", "--k", "1",
+                     "--out", str(blocker / "sub")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "ConfigurationError"
+        assert "cannot create output directory" in record["message"]
+        assert blocker.read_text() == ""
+        assert not (blocker / "sub" / "error.json").exists()
+
+    def test_truth_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        sim = _simulate(tmp_path, "sim13")
+        out = tmp_path / "dir-truth"
+        code = main(["select", "--data", str(sim / "dataset.csv"), "--truth", str(tmp_path),
+                     *SELECT_FLAGS, "--out", str(out)])
+        capsys.readouterr()
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "InvalidDataError"
+        assert record["message"].startswith(f"cannot read {tmp_path}")
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    def test_module_runs_as_a_script(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mirrorselect.cli", "--version"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "0.1.0"
 
     def test_screening_method_via_cli(self, tmp_path):
         sim = _simulate(tmp_path, "sim7", n="120", p="6", k="2")

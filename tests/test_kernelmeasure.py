@@ -7,6 +7,7 @@ import pytest
 
 from mirrorselect import (
     ConfigurationError,
+    Dataset,
     DegeneratePerturbationError,
     InvalidDataError,
     KernelSpec,
@@ -18,6 +19,7 @@ from mirrorselect import (
     minimize_c,
 )
 from mirrorselect import kernelmeasure
+from mirrorselect.mirror import make_all_mirrors
 from conftest import dependence_on_grid, naive_conditional_dependence
 
 LINEAR = KernelSpec("linear")
@@ -67,6 +69,11 @@ def test_polynomial_gram_by_hand():
 def test_gram_rejects_non_finite():
     with pytest.raises(InvalidDataError):
         gram_matrix(np.array([1.0, np.nan]), LINEAR)
+
+
+def test_gram_rejects_a_block_with_no_columns():
+    with pytest.raises(InvalidDataError, match="at least one column"):
+        gram_matrix(np.empty((4, 0)), LINEAR)
 
 
 @pytest.mark.parametrize(
@@ -459,6 +466,39 @@ def test_minimize_c_overflow_is_numerical_error(gen):
         minimize_c(x, z, w, KernelSpec("polynomial", degree=400))
 
 
+@pytest.mark.parametrize("spec", [LINEAR, KernelSpec("gaussian")], ids=["linear", "gaussian"])
+@pytest.mark.parametrize("w_rows", [None, 30], ids=["w-none", "w-30-rows"])
+@pytest.mark.parametrize("two_d", ["x", "z"])
+def test_minimize_c_rejects_more_than_one_column(gen, spec, w_rows, two_d):
+    # a (30, 2) x or z is not flattened into one 60-row column
+    x = gen.standard_normal((30, 2) if two_d == "x" else 30)
+    z = gen.standard_normal((30, 2) if two_d == "z" else 30)
+    w = None if w_rows is None else gen.standard_normal((w_rows, 3))
+    with pytest.raises(InvalidDataError, match=r"one column each, got .*\(30, 2\)"):
+        minimize_c(x, z, w, spec)
+
+
+def test_minimize_c_takes_a_single_column_as_a_1d_array(gen):
+    x = gen.standard_normal(30)
+    z = gen.standard_normal(30)
+    w = gen.standard_normal((30, 3))
+    for spec in (LINEAR, KernelSpec("gaussian")):
+        assert minimize_c(x[:, None], z[:, None], w, spec) == minimize_c(x, z, w, spec)
+
+
+def test_linear_closed_form_overflow_is_numerical_error(gen):
+    # squares of 1e200 overflow: one NumericalError (exit 4), and numpy
+    # prints no warning on the way (pytest turns warnings into errors)
+    x = gen.standard_normal(12)
+    z = gen.standard_normal(12)
+    w = gen.standard_normal((12, 3))
+    with pytest.raises(NumericalError, match="quartic coefficients are non-finite"):
+        minimize_c(1e200 * x, z, w, LINEAR)
+    dataset = Dataset(1e200 * np.column_stack([x, w]), z)
+    with pytest.raises(NumericalError, match=r"feature 0 \(x0\): quartic coefficients"):
+        make_all_mirrors(dataset, LINEAR)
+
+
 def test_c_search_reads_no_magnitudes(gen, monkeypatch):
     # the negativity guard reads the Grams' magnitudes only for a
     # negative value, which this search never reaches
@@ -691,5 +731,7 @@ def test_c_search_memory_is_its_held_arrays(gen, spec, held):
 def test_search_config_validation():
     with pytest.raises(ConfigurationError):
         SearchConfig(c_max_factor=0.0)
+    with pytest.raises(ConfigurationError):
+        SearchConfig(c_max_factor=math.inf)
     with pytest.raises(ConfigurationError):
         SearchConfig(tol_factor=0.0)

@@ -66,6 +66,8 @@ def test_default_hidden_sizes():
         {"batch_size": 0},
         {"learning_rate": 0.0},
         {"weight_init_scale": -0.5},
+        {"hidden_sizes": 5},
+        {"activation": ["tanh"]},
     ],
 )
 def test_net_config_validation(kwargs):
@@ -539,6 +541,8 @@ def test_trained_net_shape_validation():
         TrainedNet([np.zeros((2, 2))], [np.zeros(2)])  # two outputs
     with pytest.raises(ConfigurationError):
         TrainedNet([], [])
+    with pytest.raises(ConfigurationError):
+        TrainedNet([np.zeros((2, 1))], [np.zeros(1)], activation=["tanh"])
 
 
 _ONE_LAYER = ([np.zeros((2, 1))], [np.zeros(1)])

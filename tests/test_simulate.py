@@ -14,6 +14,7 @@ from mirrorselect import (
     KernelSpec,
     ModelSpec,
     NetConfig,
+    NumericalError,
     RngSeed,
     ScreenOptions,
     default_coef_sd,
@@ -25,7 +26,10 @@ from mirrorselect import (
     sample_response,
 )
 from mirrorselect import Dataset, MirrorSelectError, _parallel, run_ingm, run_sngm
+from mirrorselect import selection, simulate
+from mirrorselect.kernelmeasure import SearchConfig
 from mirrorselect.neuralnet import _GROUP_BYTES
+from mirrorselect.selection import adaptive_threshold, screen
 from mirrorselect.simulate import LINKS, _chunks, _mean_se
 
 
@@ -178,6 +182,7 @@ class TestSampleResponse:
             dict(k_signals=-1),
             dict(coef_sd=0.0),
             dict(noise_sd=-1.0),
+            dict(kind="single_index", link=["f1"]),
         ],
     )
     def test_bad_model_rejected(self, kwargs):
@@ -502,6 +507,34 @@ class TestRunBenchmark:
         assert all("TrainingError" in msg for _, msg in result.failures)
         assert math.isnan(result.mean_fdp)
 
+    def test_one_rep_has_zero_standard_errors(self):
+        design, model = STACK_CASE
+        result = run_benchmark(design, model, "ingm", 0.2, 1, RngSeed(3), net=EDGE_NET)
+        assert len(result.rows) == 1
+        assert (result.se_fdp, result.se_power) == (0.0, 0.0)
+        assert result.mean_fdp == result.rows[0].fdp
+
+    def test_failed_draw_is_listed_and_leaves_the_other_reps(self, monkeypatch):
+        design, model = STACK_CASE
+        clean = run_benchmark(design, model, "ingm", 0.2, 4, RngSeed(3), net=EDGE_NET)
+        bad_rng = RngSeed(3).child(2).child(0)
+        draw = simulate.sample_design
+
+        def failing_draw(spec, rng):
+            if rng == bad_rng:
+                raise NumericalError("precision matrix is not positive definite")
+            return draw(spec, rng)
+
+        monkeypatch.setattr(simulate, "sample_design", failing_draw)
+        result = run_benchmark(design, model, "ingm", 0.2, 4, RngSeed(3), net=EDGE_NET)
+        assert result.failures == (
+            (2, "NumericalError: precision matrix is not positive definite"),
+        )
+        rows, _, _ = _benchmark_fields(result)
+        clean_rows, clean_failures, _ = _benchmark_fields(clean)
+        assert clean_failures == ()
+        assert rows == [row for row in clean_rows if row["rep"] != 2]
+
     def test_screening_method_defaults_to_default_screen_options(self):
         design = DesignSpec(24, 16, "identity")
         model = ModelSpec(k_signals=2, coef_sd=3.0)
@@ -560,10 +593,12 @@ _SMALL_NET = NetConfig(hidden_sizes=(4,), epochs=2, batch_size=8)
         lambda: NetConfig(epochs=True),
         lambda: NetConfig(batch_size=True),
         lambda: KernelSpec("polynomial", degree=True),
+        lambda: RngSeed(3).child(1.5),
+        lambda: RngSeed(3).child("1"),
     ],
     ids=[
         "design-n", "design-p", "k_signals", "m_keep", "reps", "threads",
-        "hidden_sizes", "epochs", "batch_size", "degree",
+        "hidden_sizes", "epochs", "batch_size", "degree", "child-float", "child-str",
     ],
 )
 def test_integer_settings_reject_non_integers(call):
@@ -578,9 +613,88 @@ def test_integer_settings_store_numpy_integers_as_int():
     values = (design.n, design.p, *net.hidden_sizes, net.epochs, net.batch_size,
               ModelSpec(k_signals=np.int64(2)).k_signals,
               ScreenOptions(m_keep=np.int64(2)).m_keep,
-              KernelSpec("polynomial", degree=np.int64(3)).degree)
-    assert values == (10, 3, 3, 5, 4, 2, 2, 3)
+              KernelSpec("polynomial", degree=np.int64(3)).degree,
+              RngSeed(np.int64(3)).seed, RngSeed(0, np.uint32(2)).stream,
+              RngSeed(0).child(np.int64(1)).stream)
+    assert values == (10, 3, 3, 5, 4, 2, 2, 3, 3, 2, 1)
     assert all(type(v) is int for v in values)
+
+
+_DATASET = Dataset(np.arange(30.0).reshape(10, 3) ** 2, np.arange(10.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_sngm(_DATASET, q="0.2", net=_SMALL_NET),
+        lambda: adaptive_threshold([1.0, 2.0], "0.2"),
+        lambda: run_benchmark(DesignSpec(20, 3), ModelSpec(k_signals=1), q="0.2", reps=1,
+                              net=_SMALL_NET),
+        lambda: NetConfig(learning_rate="0.1"),
+        lambda: NetConfig(weight_init_scale="1"),
+        lambda: KernelSpec("gaussian", bandwidth="1"),
+        lambda: KernelSpec("polynomial", offset="1"),
+        lambda: SearchConfig(c_max_factor="10"),
+        lambda: SearchConfig(tol_factor="0.1"),
+        lambda: DesignSpec(10, 3, "toeplitz_pc", "0.5"),
+        lambda: DesignSpec(10, 3, rho=True),
+        lambda: ModelSpec(coef_sd="1"),
+        lambda: ModelSpec(noise_sd=None),
+    ],
+    ids=[
+        "q-run_sngm", "q-adaptive_threshold", "q-run_benchmark", "learning_rate",
+        "weight_init_scale", "bandwidth", "offset", "c_max_factor", "tol_factor",
+        "rho-str", "rho-bool", "coef_sd", "noise_sd",
+    ],
+)
+def test_real_settings_reject_non_reals(call):
+    # strings and bools are not converted: a configuration error (exit 2)
+    with pytest.raises(ConfigurationError, match="must be a real number"):
+        call()
+
+
+def test_real_settings_store_floats():
+    net = NetConfig(learning_rate=np.float32(0.25), weight_init_scale=1)
+    search = SearchConfig(np.float32(2.0), np.float64(0.125))
+    model = ModelSpec(coef_sd=np.float32(0.5), noise_sd=np.int64(2))
+    values = (DesignSpec(10, 3, rho=np.float32(0.5)).rho,
+              net.learning_rate, net.weight_init_scale,
+              KernelSpec("gaussian", bandwidth=np.float32(1.5)).bandwidth,
+              KernelSpec("polynomial", offset=np.int64(2)).offset,
+              search.c_max_factor, search.tol_factor, model.coef_sd, model.noise_sd)
+    assert values == (0.5, 0.25, 1.0, 1.5, 2.0, 2.0, 0.125, 0.5, 2.0)
+    assert all(type(v) is float for v in values)
+
+
+def test_choice_settings_store_str():
+    model = ModelSpec(np.str_("single_index"), np.str_("f1"))
+    values = (NetConfig(activation=np.str_("relu")).activation,
+              KernelSpec(np.str_("linear")).family,
+              DesignSpec(10, 3, np.str_("identity")).structure,
+              model.kind, model.link)
+    assert values == ("relu", "linear", "identity", "single_index", "f1")
+    assert all(type(v) is str for v in values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_benchmark(DesignSpec(20, 3), ModelSpec(k_signals=1), reps=1,
+                              rng=7, net=_SMALL_NET),
+        lambda: run_sngm(_DATASET, net=_SMALL_NET, rng=7),
+        lambda: run_ingm(_DATASET, net=_SMALL_NET, rng=7),
+        lambda: screen(_DATASET, _SMALL_NET, rng=7),
+    ],
+    ids=["run_benchmark", "run_sngm", "run_ingm", "screen"],
+)
+def test_pipelines_reject_a_seed_that_is_not_an_rng_seed(call, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("data was drawn or a net was fitted before the check")
+
+    monkeypatch.setattr(simulate, "parallel_map", no_draw)
+    monkeypatch.setattr(selection, "_drive", no_draw)
+    with pytest.raises(ConfigurationError, match="rng must be an RngSeed, got 7"):
+        call()
 
 
 def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
