@@ -23,14 +23,13 @@ scaled by the bandwidth resolved from x (x and z for the polynomial
 family), and it owns two n x n buffers.  An evaluation overwrites the
 buffers with the halves' Grams and centers them there; it allocates no
 n x n array and reads no Gram's magnitude unless the measure comes out
-negative.  ``_linear_closed_form`` solves the linear quartic for c, for
-``minimize_c`` and the mirror construction alike.
+negative.  ``_linear_scales`` solves the linear quartic for every column
+of a design at once, for ``minimize_c`` and the mirror construction.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -266,47 +265,53 @@ class SearchConfig:
         )
 
 
-@contextmanager
-def _raising(message: str):
-    """Raise numpy overflow and invalid values in the block as NumericalError."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as err:
-        raise NumericalError(f"{message}: {err}") from err
-
-
-def _linear_closed_form(x, z, w, w_abs, drop: int | None = None) -> CMinimizationResult:
-    """The linear ``minimize_c`` on checked inputs, given |W| as ``w_abs``.
-    The quartic's coefficients are inner products of W'x**2, W'z**2 and
-    |W|'z**2 (squares entrywise); ``drop`` removes that column's entry
-    from each, so a full design can stand in for W without a copy.  An
-    overflow raises NumericalError."""
-    with _raising("quartic coefficients are non-finite"):
-        x = x - x.mean()
-        z = z - z.mean()
-        x2 = x * x
-        z2 = z * z
-        products = (w.T @ x2, w.T @ z2, w_abs.T @ z2)
-        if drop is not None:
-            products = (np.delete(v, drop) for v in products)
-        wt_x2, wt_z2, abs_wt_z2 = products
-        if wt_x2.size == 0:
-            # Conditioning on nothing: K_W is all ones, as for the single
-            # column W = 1, so each product collapses to a sum.
-            wt_x2 = x2.sum(keepdims=True)
-            wt_z2 = abs_wt_z2 = z2.sum(keepdims=True)
-        beta = float(wt_x2 @ wt_z2)
-        gamma = float(wt_z2 @ wt_z2)
-        # Cancellation-free magnitude of gamma: if gamma is tiny against
-        # this, the denominator is zero up to rounding.
-        denom_scale = float(abs_wt_z2 @ abs_wt_z2)
-    if gamma <= _DENOM_REL_TOL * max(denom_scale, 1e-300):
+def _linear_scales(design, z, names=None) -> np.ndarray:
+    """The linear ``minimize_c`` on checked inputs for the first m columns
+    of ``design`` at once: column j's c, perturbed by z[:, j], given the
+    design's other columns (K_W all ones when there are none).  Its quartic
+    takes W'x**2 and W'z**2 (x, z centered; squares entrywise) from one
+    product of the design with a block of squared columns, entry j zeroed;
+    a block has at most half the design's rows or columns.  The first column
+    that overflows raises NumericalError, or whose denominator vanishes
+    DegeneratePerturbationError, as "feature j (name): ..." when ``names``
+    are given; numpy prints no warning on the way."""
+    n, m = z.shape
+    if design.shape[1] == 1:
+        # conditioning on nothing: K_W is all ones, as for the one column W = 1
+        design = np.column_stack([design, np.ones(n)])
+    size = max(1, min(design.shape) // 2)
+    beta, gamma, z4 = np.empty(m), np.empty(m), np.empty(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_sq = np.einsum("ij,ij->j", design, design)
+        for lo in range(0, m, size):
+            cols = slice(lo, min(lo + size, m))
+            b = cols.stop - lo
+            sq = np.empty((n, 2 * b))
+            x2, z2 = sq[:, :b], sq[:, b:]
+            np.subtract(design[:, cols], design[:, cols].mean(axis=0), out=x2)
+            np.subtract(z[:, cols], z[:, cols].mean(axis=0), out=z2)
+            np.square(sq, out=sq)
+            products = design.T @ sq
+            own = np.arange(b)
+            products[lo + own, own] = products[lo + own, b + own] = 0.0
+            beta[cols] = np.einsum("kj,kj->j", products[:, :b], products[:, b:])
+            gamma[cols] = np.einsum("kj,kj->j", products[:, b:], products[:, b:])
+            z4[cols] = np.einsum("ij,ij->j", z2, z2)
+        # Cauchy-Schwarz bound on gamma, |W|_F**2 |z**2|**2: if gamma is
+        # tiny against it, the denominator is zero up to rounding.
+        bound = (col_sq.sum() - col_sq[:m]) * z4
+    finite = np.isfinite(beta) & np.isfinite(gamma) & np.isfinite(bound)
+    failed = np.flatnonzero(~finite | (gamma <= _DENOM_REL_TOL * np.maximum(bound, 1e-300)))
+    if failed.size:
+        j = int(failed[0])
+        label = "" if names is None else f"feature {j} ({names[j]}): "
+        if not finite[j]:
+            raise NumericalError(f"{label}quartic coefficients are non-finite")
         raise DegeneratePerturbationError(
-            "perturbation-scale denominator vanishes; the perturbation is "
-            "invisible to the conditioning block"
+            f"{label}perturbation-scale denominator vanishes; the perturbation "
+            "is invisible to the conditioning block"
         )
-    return CMinimizationResult(math.sqrt(max(beta, 0.0) / gamma), 0)
+    return np.sqrt(np.maximum(beta, 0.0) / gamma)
 
 
 def _golden_section(f, a: float, b: float, tol: float):
@@ -442,10 +447,14 @@ def minimize_c(
         raise DegeneratePerturbationError("perturbation z is identically zero")
 
     if spec.family == "linear":
-        return _linear_closed_form(x, z, w_block, np.abs(w_block))
+        (c_star,) = _linear_scales(np.column_stack([x, w_block]), z[:, None])
+        return CMinimizationResult(float(c_star), 0)
 
-    with _raising(f"{spec.family} kernel overflowed"):
-        return _scalar_search(_Objective(x, z, w_block, spec, search), search)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _scalar_search(_Objective(x, z, w_block, spec, search), search)
+    except FloatingPointError as err:
+        raise NumericalError(f"{spec.family} kernel overflowed: {err}") from err
 
 
 def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimizationResult:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InvalidDataError, MirrorSelectError
-from .kernelmeasure import KernelSpec, _linear_closed_form, minimize_c
+from .kernelmeasure import KernelSpec, _linear_scales, minimize_c
 from .rng import RngSeed
 
 
@@ -34,40 +34,30 @@ class MirrorPair:
     x_minus: np.ndarray
 
 
-def _mirror_feature(
-    dataset: Dataset, j: int, spec: KernelSpec, rng: RngSeed, x_abs: np.ndarray | None
-) -> MirrorPair:
-    """Feature j's pair.  A linear kernel takes the closed form from
-    products with the full X (``x_abs`` is |X|), whose entry j is dropped,
-    so no copy of the remaining columns is made and the cost is O(n p);
-    other kernels run ``minimize_c`` against those columns."""
-    x_all = dataset.x
-    x = x_all[:, j]
-    z = rng.named_child(dataset.names[j]).generator().standard_normal(dataset.n)
-    try:
-        if spec.family == "linear":
-            result = _linear_closed_form(x, z, x_all, x_abs, drop=j)
-        else:
-            result = minimize_c(x, z, np.delete(x_all, j, axis=1), spec)
-    except MirrorSelectError as err:
-        raise type(err)(f"feature {j} ({dataset.names[j]}): {err}") from err
-    shift = result.c_star * z
-    return MirrorPair(
-        name=dataset.names[j],
-        z=z,
-        c=result.c_star,
-        x_plus=x + shift,
-        x_minus=x - shift,
-    )
-
-
 def make_all_mirrors(
     dataset: Dataset,
     spec: KernelSpec = KernelSpec("linear"),
     rng: RngSeed = RngSeed(0),
 ) -> list[MirrorPair]:
-    """Mirror every feature of the dataset, in column order."""
+    """Mirror every feature of the dataset, in column order; an error names
+    its feature as "feature j (name)"."""
+    x, names = dataset.x, dataset.names
     if dataset.n < 3:
         raise InvalidDataError(f"mirroring needs n >= 3 rows, got {dataset.n}")
-    x_abs = np.abs(dataset.x) if spec.family == "linear" else None
-    return [_mirror_feature(dataset, j, spec, rng, x_abs) for j in range(dataset.p)]
+    z = np.empty((dataset.p, dataset.n))  # one contiguous row per feature
+    for row, name in zip(z, names):
+        rng.named_child(name).generator().standard_normal(out=row)
+    if spec.family == "linear":
+        c = _linear_scales(x, z.T, names)
+    else:
+        c = np.empty(dataset.p)
+        for j in range(dataset.p):
+            try:
+                c[j] = minimize_c(x[:, j], z[j], np.delete(x, j, axis=1), spec).c_star
+            except MirrorSelectError as err:
+                raise type(err)(f"feature {j} ({names[j]}): {err}") from err
+    pairs = []
+    for name, z_j, c_j, x_j in zip(names, z, c.tolist(), x.T):
+        shift = c_j * z_j
+        pairs.append(MirrorPair(name, z_j, c_j, x_j + shift, x_j - shift))
+    return pairs
