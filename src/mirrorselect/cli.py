@@ -34,12 +34,15 @@ from .io import (
     write_json,
     write_roc_csv,
 )
-from .kernelmeasure import KernelSpec
+from .kernelmeasure import _FAMILIES, KernelSpec
 from .neuralnet import NetConfig
 from .rng import RngSeed
 from .selection import ScreenOptions, run_ingm, run_sngm
 from .simulate import (
+    _STRUCTURES,
+    LINKS,
     METHODS,
+    MODEL_KINDS,
     DesignSpec,
     ModelSpec,
     default_coef_sd,
@@ -100,7 +103,7 @@ def _add_common(sub):
 def _add_kernel(sub):
     sub.add_argument(
         "--kernel",
-        choices=["linear", "gaussian", "polynomial"],
+        choices=_FAMILIES,
         default="linear",
         help="kernel family for the perturbation-scale objective",
     )
@@ -133,12 +136,12 @@ def _add_design(sub):
     sub.add_argument(
         "--structure",
         type=_parse_structure,
-        choices=["identity", "toeplitz_pc", "constant_pc"],
+        choices=_STRUCTURES,
         default="identity",
     )
     sub.add_argument("--rho", type=float, default=0.0)
-    sub.add_argument("--model", choices=["linear", "single_index"], default="linear")
-    sub.add_argument("--link", choices=["f1", "f2", "f3"], default=None)
+    sub.add_argument("--model", choices=MODEL_KINDS, default="linear")
+    sub.add_argument("--link", choices=list(LINKS), default=None)
     sub.add_argument("--k", type=int, default=10, help="number of true signals")
     sub.add_argument("--coef-sd", type=float, default=None,
                      help="signal coefficient scale (default: 20*sqrt(log(p)/n))")
@@ -337,14 +340,9 @@ def _cmd_roc(args, out_dir: Path) -> None:
 
 
 def _write_manifest(args, out_dir: Path, elapsed_s: float) -> None:
-    config = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func"
-    }
     write_json(
         {
-            "config": config,
+            "config": {k: v for k, v in vars(args).items() if k != "func"},
             "command": args.command,
             "versions": {
                 "mirrorselect": __version__,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from functools import partial
 
 
@@ -86,6 +87,15 @@ def _check_choice(value, name: str, choices) -> str:
     if not isinstance(value, str) or value not in choices:
         raise ConfigurationError(f"unknown {name} {value!r}; expected one of {sorted(choices)}")
     return str(value)
+
+
+def _check_type(value, name: str, kind: type, error=ConfigurationError):
+    """``value`` if it is a ``kind`` (a config object, a seed, a Dataset);
+    anything else raises ``error``, a ConfigurationError unless given."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOR" else "a"  # an RngSeed
+        raise error(f"{name} must be {article} {kind.__name__}, got {reprlib.repr(value)}")
+    return value
 
 
 def _set_fields(obj, **values) -> None:

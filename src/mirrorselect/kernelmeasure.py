@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (
     DegeneratePerturbationError, InvalidDataError, NumericalError,
-    _check_choice, _check_integer, _check_number, _set_fields,
+    _check_choice, _check_integer, _check_number, _check_type, _set_fields,
 )
 
 _FAMILIES = ("linear", "gaussian", "polynomial")
@@ -154,6 +154,7 @@ def gram_matrix(data, spec: KernelSpec) -> np.ndarray:
     A 1-d input is treated as a single column.  The result is exactly
     symmetric (it is symmetrized against floating point asymmetry).
     """
+    spec = _check_type(spec, "spec", KernelSpec)
     block = _as_block(data)
     if block.shape[1] == 0:
         raise InvalidDataError("kernel input must have at least one column")
@@ -435,6 +436,8 @@ def minimize_c(
     high polynomial degree) raises NumericalError naming the kernel
     family.
     """
+    spec = _check_type(spec, "spec", KernelSpec)
+    search = _check_type(search, "search", SearchConfig)
     x, z = _as_block(x, "x"), _as_block(z, "z")
     if x.shape[1] != 1 or z.shape[1] != 1:
         raise InvalidDataError(f"x and z must be one column each, got {x.shape} and {z.shape}")

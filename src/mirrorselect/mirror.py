@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InvalidDataError, MirrorSelectError
+from .errors import InvalidDataError, MirrorSelectError, _check_type
 from .kernelmeasure import KernelSpec, _linear_scales, minimize_c
 from .rng import RngSeed
 
@@ -41,6 +41,8 @@ def make_all_mirrors(
 ) -> list[MirrorPair]:
     """Mirror every feature of the dataset, in column order; an error names
     its feature as "feature j (name)"."""
+    dataset = _check_type(dataset, "dataset", Dataset, InvalidDataError)
+    spec, rng = _check_type(spec, "spec", KernelSpec), _check_type(rng, "rng", RngSeed)
     x, names = dataset.x, dataset.names
     if dataset.n < 3:
         raise InvalidDataError(f"mirroring needs n >= 3 rows, got {dataset.n}")

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, InvalidDataError, TrainingError,
-    _check_choice, _check_integer, _check_number, _set_fields,
+    _check_choice, _check_integer, _check_number, _check_type, _set_fields,
 )
-from .rng import RngSeed, _check_seed
+from .rng import RngSeed
 
 _SCALE_FLOOR = 1e-12
 
@@ -323,7 +323,8 @@ def train_many(
     ``train`` would have raised for it.  A diverging net leaves the other
     nets' results unchanged.
     """
-    seeds = [_check_seed(seed, "each seed") for seed in seeds]
+    config = _check_type(config, "config", NetConfig)
+    seeds = [_check_type(seed, "each seed", RngSeed) for seed in seeds]
     k = len(seeds)
     pairs = [None] * k if paired_columns is None else list(paired_columns)
     if len(pairs) != k:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _check_integer, _set_fields
+from .errors import _check_integer, _set_fields
 
 _CHILD_BITS = 64
 _MAX_SEED = 2**64
@@ -59,10 +59,3 @@ class RngSeed:
         # SeedSequence splits the stream into little-endian uint32 words.
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(seq)
-
-
-def _check_seed(rng, name: str = "rng") -> RngSeed:
-    """``rng`` if it is an RngSeed; anything else raises ConfigurationError."""
-    if not isinstance(rng, RngSeed):
-        raise ConfigurationError(f"{name} must be an RngSeed, got {rng!r}")
-    return rng

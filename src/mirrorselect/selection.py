@@ -36,12 +36,12 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (
     ConfigurationError, InvalidDataError, MirrorSelectError, TrainingError,
-    _check_integer, _check_number,
+    _check_integer, _check_number, _check_type,
 )
 from .kernelmeasure import KernelSpec
 from .mirror import make_all_mirrors
 from .neuralnet import NetConfig, path_importance, train, train_many
-from .rng import RngSeed, _check_seed
+from .rng import RngSeed
 
 _STREAM_SCREEN = 1
 _STREAM_MIRROR = 2
@@ -297,7 +297,9 @@ def screen(
     The split rows must not be reused downstream; callers fit the
     selection stage on the complement.
     """
-    return _one(_drive([_screen_steps(dataset, m_keep, _check_seed(rng))], config))
+    dataset = _check_type(dataset, "dataset", Dataset, InvalidDataError)
+    config = _check_type(config, "config", NetConfig)
+    return _one(_drive([_screen_steps(dataset, m_keep, _check_type(rng, "rng", RngSeed))], config))
 
 
 def _score_joint(mirrors, working, rng):
@@ -352,8 +354,6 @@ def _select_steps(method, score, dataset, q, spec, rng, screen_opts):
     """One dataset's way through the pipeline, as a step generator: drop
     constant columns, optionally screen, mirror, score the pairs with
     ``score``, threshold.  Returns its SelectionResult."""
-    if not isinstance(dataset, Dataset):
-        raise InvalidDataError("expected a Dataset")
     p = dataset.p
     constant = dataset.constant_columns()
     active = np.flatnonzero(~constant)
@@ -435,11 +435,18 @@ def _run(method, datasets, q, spec, net, rngs, screen_opts) -> list:
     """
     t0 = time.perf_counter()
     q = _check_number(q, "q", 0, 1, strict=True)
+    spec = _check_type(spec, "spec", KernelSpec)
+    net = _check_type(net, "net", NetConfig)
+    if screen_opts is not None:
+        _check_type(screen_opts, "screen_opts", ScreenOptions)
     score = _SCORERS[method]
     steps = [
         d
         if isinstance(d, MirrorSelectError)
-        else _select_steps(method, score, d, q, spec, _check_seed(rng), screen_opts)
+        else _select_steps(
+            method, score, _check_type(d, "dataset", Dataset, InvalidDataError),
+            q, spec, _check_type(rng, "rng", RngSeed), screen_opts,
+        )
         for d, rng in zip(datasets, rngs, strict=True)
     ]
     results = _drive(steps, net)

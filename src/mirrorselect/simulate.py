@@ -22,11 +22,11 @@ from ._parallel import parallel_map
 from .dataset import Dataset
 from .errors import (
     ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError,
-    _check_choice, _check_integer, _check_number, _set_fields,
+    _check_choice, _check_integer, _check_number, _check_type, _set_fields,
 )
 from .kernelmeasure import KernelSpec
 from .neuralnet import _GROUP_BYTES, NetConfig
-from .rng import RngSeed, _check_seed
+from .rng import RngSeed
 
 # ``run_sngm`` and ``run_ingm`` are not called here; they stay names of
 # this module because perfbench's tracer patches them here.
@@ -41,6 +41,8 @@ LINKS = {
 }
 
 METHODS = ("ingm", "sngm", "s_ingm", "s_sngm")
+
+MODEL_KINDS = ("linear", "single_index")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class DesignSpec:
 
 def precision_matrix(spec: DesignSpec) -> np.ndarray:
     """The precision matrix the rows are drawn against."""
-    p = spec.p
+    p = _check_type(spec, "spec", DesignSpec).p
     if spec.structure == "identity":
         return np.eye(p)
     if spec.structure == "toeplitz_pc":
@@ -87,7 +89,8 @@ def precision_matrix(spec: DesignSpec) -> np.ndarray:
 
 def sample_design(spec: DesignSpec, rng: RngSeed = RngSeed(0)) -> np.ndarray:
     """Draw an (n, p) design whose rows have the requested precision."""
-    gen = rng.generator()
+    spec = _check_type(spec, "spec", DesignSpec)
+    gen = _check_type(rng, "rng", RngSeed).generator()
     z = gen.standard_normal((spec.n, spec.p))
     if spec.structure == "identity":
         return z
@@ -128,7 +131,7 @@ class ModelSpec:
         sd = self.coef_sd
         _set_fields(
             self,
-            kind=_check_choice(self.kind, "model kind", ("linear", "single_index")),
+            kind=_check_choice(self.kind, "model kind", MODEL_KINDS),
             link=self.link if self.kind == "linear" else _check_choice(self.link, "link", LINKS),
             k_signals=_check_integer(self.k_signals, "k_signals", 0),
             coef_sd=None if sd is None else _check_number(sd, "coef_sd", 0, strict=True),
@@ -158,6 +161,8 @@ def _check_model(model: ModelSpec, p: int) -> None:
 def sample_response(
     x: np.ndarray, model: ModelSpec, rng: RngSeed = RngSeed(0)
 ) -> ResponseSample:
+    model = _check_type(model, "model", ModelSpec)
+    rng = _check_type(rng, "rng", RngSeed)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidDataError(f"design must be 2-d, got {x.ndim}-d")
@@ -380,7 +385,11 @@ def run_benchmark(
     reps = _check_integer(reps, "reps", 1)
     threads = _check_integer(threads, "threads", 1)
     q = _check_number(q, "q", 0, 1, strict=True)
-    rng = _check_seed(rng)
+    design = _check_type(design, "design", DesignSpec)
+    model = _check_type(model, "model", ModelSpec)
+    rng = _check_type(rng, "rng", RngSeed)
+    spec = _check_type(spec, "spec", KernelSpec)
+    net = _check_type(net, "net", NetConfig)
     _check_model(model, design.p)
     # Mirroring needs three rows; screening splits off a third of six.
     min_rows = 6 if method.startswith("s_") else 3
@@ -391,6 +400,7 @@ def run_benchmark(
     if method.startswith("s_"):
         if screen_opts is None:
             screen_opts = ScreenOptions()
+        _check_type(screen_opts, "screen_opts", ScreenOptions)
         if screen_opts.m_keep is not None:
             _check_integer(screen_opts.m_keep, "m_keep", 1, design.p + 1)
     elif screen_opts is not None:

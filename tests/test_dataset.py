@@ -46,6 +46,18 @@ def test_invalid_arrays_rejected(gen, bad):
         Dataset(*bad(x, y))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+def test_empty_design_rejected(shape):
+    with pytest.raises(InvalidDataError, match="at least one row and column"):
+        Dataset(np.zeros(shape), np.zeros(shape[0]))
+
+
+def test_name_count_must_match_the_columns(gen):
+    x = gen.standard_normal((10, 3))
+    with pytest.raises(InvalidDataError, match="got 2 names for 3 columns"):
+        Dataset(x, x[:, 0], names=("a", "b"))
+
+
 def test_duplicate_names_rejected(gen):
     x = gen.standard_normal((10, 2))
     with pytest.raises(InvalidDataError):

@@ -552,6 +552,65 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["threads"] == 2
 
+    @pytest.mark.parametrize(
+        "base, flag, key, value",
+        [
+            (["--kernel", "gaussian"], ["--bandwidth", "0.7"], "bandwidth", 0.7),
+            ([], ["--init-scale", "0.5"], "init_scale", 0.5),
+        ],
+        ids=["bandwidth", "init-scale"],
+    )
+    def test_select_flag_reaches_its_setting(self, tmp_path, base, flag, key, value):
+        sim = _simulate(tmp_path, "sim")
+        docs = []
+        for name, flags in (("default", base), ("flag", [*base, *flag])):
+            out = tmp_path / name
+            args = ["select", "--data", str(sim / "dataset.csv"), *SELECT_FLAGS, *flags]
+            assert main([*args, "--out", str(out)]) == 0
+            doc = json.loads((out / "result.json").read_text())
+            del doc["timing"]
+            docs.append(doc)
+        manifest = json.loads((tmp_path / "flag" / "manifest.json").read_text())
+        assert manifest["config"][key] == value
+        assert docs[0] != docs[1]
+
+    @pytest.mark.parametrize(
+        "base, flagged",
+        [
+            ([], ["--model", "single_index", "--link", "f2"]),
+            (["--model", "single_index", "--link", "f1"],
+             ["--model", "single_index", "--link", "f3"]),
+        ],
+        ids=["model", "link"],
+    )
+    def test_simulate_model_flags_reach_the_draw(self, tmp_path, base, flagged):
+        runs = []
+        for name, flags in (("default", base), ("flag", flagged)):
+            out = tmp_path / name
+            args = ["simulate", "--n", "30", "--p", "4", "--k", "2", "--seed", "3", *flags]
+            assert main([*args, "--out", str(out)]) == 0
+            runs.append(out)
+        default, flagged_out = runs
+        config = json.loads((flagged_out / "manifest.json").read_text())["config"]
+        assert (config["model"], config["link"]) == ("single_index", flagged[-1])
+        truths = [json.loads((out / "truth.json").read_text()) for out in runs]
+        model = truths[1]["model"]
+        assert (model["kind"], model["link"]) == (config["model"], config["link"])
+        # the same support and coefficients, passed through another link
+        assert truths[0]["beta"] == truths[1]["beta"]
+        assert (default / "dataset.csv").read_bytes() != (flagged_out / "dataset.csv").read_bytes()
+
+    def test_single_index_without_link_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "nolink"
+        code = main(["simulate", "--n", "30", "--p", "4", "--k", "1",
+                     "--model", "single_index", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigurationError"
+        assert "unknown link None" in record["message"]
+        assert sorted(path.name for path in out.iterdir()) == ["error.json"]
+
     def test_negative_polynomial_offset_exits_2(self, tmp_path, capsys):
         sim = _simulate(tmp_path, "sim9")
         out = tmp_path / "poly"

@@ -71,6 +71,11 @@ def test_gram_rejects_non_finite():
         gram_matrix(np.array([1.0, np.nan]), LINEAR)
 
 
+def test_gram_rejects_a_block_with_no_rows():
+    with pytest.raises(InvalidDataError, match="at least one row"):
+        gram_matrix(np.empty((0, 2)), LINEAR)
+
+
 def test_gram_rejects_a_block_with_no_columns():
     with pytest.raises(InvalidDataError, match="at least one column"):
         gram_matrix(np.empty((4, 0)), LINEAR)

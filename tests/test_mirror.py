@@ -5,12 +5,14 @@ import pytest
 from scipy.stats import binomtest
 
 from mirrorselect import (
+    CMinimizationResult,
     Dataset,
     DegeneratePerturbationError,
     DesignSpec,
     InvalidDataError,
     KernelSpec,
     ModelSpec,
+    NumericalError,
     RngSeed,
     conditional_dependence,
     make_all_mirrors,
@@ -19,7 +21,7 @@ from mirrorselect import (
     sample_design,
     sample_response,
 )
-from mirrorselect import selection
+from mirrorselect import mirror, selection
 from conftest import dependence_on_grid
 
 LINEAR = KernelSpec("linear")
@@ -175,6 +177,55 @@ def test_make_all_linear_memory_stays_below_one_gram(gen):
     assert peak < n * n * 8 / 10
 
 
+@pytest.mark.parametrize("n, p", [(200, 4000), (4000, 100)])
+def test_make_all_linear_peak_memory(gen, n, p):
+    # the pairs hold three design-sized arrays (z, x_plus and x_minus), and
+    # the closed form's blocked temporaries add at most one more
+    ds = _dataset(gen, n=n, p=p)
+    tracemalloc.start()
+    try:
+        make_all_mirrors(ds, LINEAR, RngSeed(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * ds.x.nbytes
+
+
+def test_linear_mirrors_take_one_closed_form_call(gen, monkeypatch):
+    calls = []
+    scales = mirror._linear_scales
+
+    def counting(*args):
+        calls.append(args)
+        return scales(*args)
+
+    def no_search(*args):
+        raise AssertionError("the linear path ran a per-feature search")
+
+    monkeypatch.setattr(mirror, "_linear_scales", counting)
+    monkeypatch.setattr(mirror, "minimize_c", no_search)
+    assert len(make_all_mirrors(_dataset(gen, n=30, p=7), LINEAR, RngSeed(1))) == 7
+    assert len(calls) == 1
+
+
+def test_failing_search_names_its_feature(gen, monkeypatch):
+    searched = []
+
+    def third_fails(x, z, w, spec):
+        searched.append(z)
+        if len(searched) == 3:
+            raise NumericalError("search failed")
+        return CMinimizationResult(0.5, 1)
+
+    monkeypatch.setattr(mirror, "minimize_c", third_fails)
+    ds = _dataset(gen, n=20, p=5)
+    with pytest.raises(NumericalError, match=r"^feature 2 \(x2\): search failed$"):
+        make_all_mirrors(ds, KernelSpec("gaussian"), RngSeed(1))
+    # each search was handed its feature's own contiguous 1-d z
+    assert [z.ndim for z in searched] == [1, 1, 1]
+    assert all(z.flags.c_contiguous for z in searched)
+
+
 def test_column_permutation_permutes_mirrors(gen):
     n, p = 40, 5
     x = gen.standard_normal((n, p))
@@ -217,6 +268,18 @@ def test_degenerate_conditioning_names_feature(gen):
     # feature 0's conditioning block is the all-zero column: the
     # perturbation is invisible to it
     with pytest.raises(DegeneratePerturbationError, match=r"feature 0 \(sig\)"):
+        make_all_mirrors(ds, LINEAR, RngSeed(1))
+
+
+def test_degenerate_conditioning_names_a_later_feature(gen):
+    # feature 1 is conditioned only on the all-zero column 0; feature 0
+    # itself is constant, which gives c = 0 but no error
+    x = np.column_stack([np.zeros(30), gen.standard_normal(30)])
+    ds = Dataset(x, gen.standard_normal(30), names=("dead", "sig"))
+    with pytest.raises(
+        DegeneratePerturbationError,
+        match=r"^feature 1 \(sig\): perturbation-scale denominator vanishes",
+    ):
         make_all_mirrors(ds, LINEAR, RngSeed(1))
 
 

@@ -26,7 +26,10 @@ from mirrorselect import (
     sample_response,
 )
 from mirrorselect import Dataset, MirrorSelectError, _parallel, run_ingm, run_sngm
-from mirrorselect import selection, simulate
+from mirrorselect import (
+    conditional_dependence, gram_matrix, make_all_mirrors, minimize_c, train, train_many,
+)
+from mirrorselect import neuralnet, selection, simulate
 from mirrorselect.kernelmeasure import SearchConfig
 from mirrorselect.neuralnet import _GROUP_BYTES
 from mirrorselect.selection import adaptive_threshold, screen
@@ -188,6 +191,10 @@ class TestSampleResponse:
     def test_bad_model_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ModelSpec(**kwargs)
+
+    def test_one_dimensional_design_rejected(self):
+        with pytest.raises(InvalidDataError, match="design must be 2-d, got 1-d"):
+            sample_response(np.zeros(10), ModelSpec(k_signals=1), RngSeed(0))
 
     def test_too_many_signals(self):
         x = np.zeros((10, 3))
@@ -695,6 +702,62 @@ def test_pipelines_reject_a_seed_that_is_not_an_rng_seed(call, monkeypatch):
     monkeypatch.setattr(selection, "_drive", no_draw)
     with pytest.raises(ConfigurationError, match="rng must be an RngSeed, got 7"):
         call()
+
+
+_X, _N = _DATASET.x, _SMALL_NET
+_U, _V = _X[:, 0], _X[:, 1]
+_D, _M = DesignSpec(20, 3), ModelSpec(k_signals=1)
+
+
+_WRONG_TYPED = {
+    "run_sngm-dataset": lambda: run_sngm(_DATASET.x, net=_N),
+    "run_sngm-spec": lambda: run_sngm(_DATASET, spec="linear", net=_N),
+    "run_sngm-net": lambda: run_sngm(_DATASET, net=None),
+    "run_sngm-screen_opts": lambda: run_sngm(_DATASET, net=_N, screen_opts=5),
+    "run_ingm-spec": lambda: run_ingm(_DATASET, spec=None, net=_N),
+    "run_ingm-net": lambda: run_ingm(_DATASET, net="fast"),
+    "run_ingm-screen_opts": lambda: run_ingm(_DATASET, net=_N, screen_opts=5),
+    "run_benchmark-design": lambda: run_benchmark((20, 3), _M, reps=1, net=_N),
+    "run_benchmark-model": lambda: run_benchmark(_D, None, reps=1, net=_N),
+    "run_benchmark-spec": lambda: run_benchmark(_D, _M, reps=1, spec="linear", net=_N),
+    "run_benchmark-net": lambda: run_benchmark(_D, _M, reps=1, net=None),
+    "run_benchmark-screen_opts":
+        lambda: run_benchmark(_D, _M, "s_sngm", reps=1, net=_N, screen_opts=5),
+    "screen-dataset": lambda: screen(_DATASET.x, _N),
+    "screen-config": lambda: screen(_DATASET, None),
+    "make_all_mirrors-dataset": lambda: make_all_mirrors(_DATASET.x),
+    "make_all_mirrors-spec": lambda: make_all_mirrors(_DATASET, "linear"),
+    "make_all_mirrors-rng": lambda: make_all_mirrors(_DATASET, rng=7),
+    "minimize_c-spec": lambda: minimize_c(_U, _V, None, "gaussian"),
+    "minimize_c-search": lambda: minimize_c(_U, _V, None, KernelSpec(), search=None),
+    "gram_matrix-spec": lambda: gram_matrix(_X, None),
+    "conditional_dependence-spec": lambda: conditional_dependence(_U, _V, None, "linear"),
+    "train-config": lambda: train(_X, _DATASET.y, None),
+    "train_many-config": lambda: train_many([_X], _DATASET.y, "fast", [RngSeed(1)]),
+    "sample_design-spec": lambda: sample_design((5, 2)),
+    "sample_design-rng": lambda: sample_design(_D, rng=7),
+    "sample_response-model": lambda: sample_response(_X, None),
+    "sample_response-rng": lambda: sample_response(_X, _M, rng=7),
+    "precision_matrix-spec": lambda: precision_matrix((5, 2)),
+}
+
+
+@pytest.mark.parametrize("call", list(_WRONG_TYPED.values()), ids=list(_WRONG_TYPED))
+def test_wrong_typed_argument_is_rejected_before_any_work(call, monkeypatch):
+    # a setting object of the wrong type is a ConfigurationError (exit 2),
+    # a non-Dataset in place of the data InvalidDataError (exit 3); both
+    # come before any draw, fit or worker
+    def no_work(*args, **kwargs):
+        raise AssertionError("data was drawn or a net was fitted before the check")
+
+    monkeypatch.setattr(simulate, "parallel_map", no_work)
+    monkeypatch.setattr(selection, "_drive", no_work)
+    monkeypatch.setattr(neuralnet, "_fit_stack", no_work)
+    monkeypatch.setattr(RngSeed, "generator", no_work)
+    with pytest.raises(MirrorSelectError, match=r" must be an? \w+, got ") as info:
+        call()
+    expected = InvalidDataError if "must be a Dataset" in str(info.value) else ConfigurationError
+    assert type(info.value) is expected
 
 
 def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
