@@ -53,9 +53,15 @@ ACTIVATIONS = {
     "identity": (lambda s, out=None: s, lambda a: 1.0),
 }
 
-# Nets are fitted in groups whose stacked designs plus full-data
-# activations take at most this many bytes (about ten 300 x 51 nets with
-# hidden layers (32, 16)).
+# The stacked designs, targets, weights, biases, activations and
+# gradients of training are float32; each standardized value is rounded
+# once from float64.  Loss traces accumulate in float64 and a TrainedNet
+# holds float64 weights.
+_STACK_DTYPE = np.dtype(np.float32)
+
+# Nets are fitted in groups whose float32 stacked designs plus full-data
+# activations take at most this many bytes (about twenty 300 x 51 nets
+# with hidden layers (32, 16)).
 _GROUP_BYTES = 2_500_000
 
 
@@ -217,23 +223,27 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
     Parameters are stacked along a leading axis: weights (g, d_in, d_out),
     biases (g, 1, d_out).  Each slice goes through the same arithmetic in
     the same order whatever is stacked beside it, so a net's result does
-    not depend on its group.  Trace entry e <= E is epoch e's mean squared
-    residual over its minibatches, each taken before its step; entry E + 1
-    is the loss over all rows after the last epoch (standardized target
-    scale).  A net leaves the stack at its first non-finite entry.
+    not depend on its group.  ``xs`` and ``ys`` are float32, and so are
+    the weights, activations and gradients.  Trace entry e <= E is epoch
+    e's mean squared residual over its minibatches, each taken before its
+    step and summed in float64; entry E + 1 is the loss over all rows
+    after the last epoch (standardized target scale).  A net leaves the
+    stack at its first non-finite entry, which float32 overflow (about
+    3.4e38) produces.
 
-    Returns, per net, (weights, biases, loss trace) or a TrainingError.
+    Returns, per net, (float64 weights, float64 biases, loss trace) or a
+    TrainingError.
     """
     g, n, _ = xs.shape
     act, dact = ACTIVATIONS[config.activation]
-    lr = config.learning_rate
+    lr = _STACK_DTYPE.type(config.learning_rate)
     gens = [seed.generator() for seed in seeds]
-    weights = [np.empty((g, a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
+    weights = [np.empty((g, a, b), _STACK_DTYPE) for a, b in zip(sizes[:-1], sizes[1:])]
     for i, gen in enumerate(gens):
         for w in weights:
             limit = config.weight_init_scale / math.sqrt(w.shape[1])
             w[i] = gen.uniform(-limit, limit, size=w.shape[1:])
-    biases = [np.zeros((g, 1, b)) for b in sizes[1:]]
+    biases = [np.zeros((g, 1, b), _STACK_DTYPE) for b in sizes[1:]]
 
     nets = list(range(g))  # the net held in each stack slot
     traces = [[] for _ in range(g)]
@@ -242,7 +252,7 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
         if epoch > config.epochs:
             # One pass over all rows, so every returned net has a finite loss.
             err = _forward(xs, weights, biases, act)[-1][:, :, 0] - ys
-            losses = np.einsum("gi,gi->g", err, err)
+            losses = np.einsum("gi,gi->g", err, err, dtype=np.float64)
         else:
             losses = np.zeros(len(nets))
             perm = np.stack([gen.permutation(n) for gen in gens])
@@ -253,7 +263,7 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
                 # d_s: loss gradient at the pre-activations of layer t + 1
                 d_s = acts.pop()
                 d_s[:, :, 0] -= ys[rows, idx]
-                losses += np.einsum("gbo,gbo->g", d_s, d_s)
+                losses += np.einsum("gbo,gbo->g", d_s, d_s, dtype=np.float64)
                 d_s *= 2.0 / idx.shape[1]
                 for t in range(len(weights) - 1, -1, -1):
                     grad_w = np.matmul(acts[t].transpose(0, 2, 1), d_s)
@@ -275,7 +285,7 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
             net = nets[slot]
             outcomes[net] = TrainingError(
                 f"loss became non-finite at epoch {min(epoch, config.epochs)} "
-                f"(learning rate {lr} may be too large)",
+                f"(learning rate {config.learning_rate} may be too large)",
                 trace=traces[net],
             )
         keep = np.flatnonzero(finite)
@@ -289,8 +299,8 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
         nets = [nets[slot] for slot in keep]
     for slot, net in enumerate(nets):
         outcomes[net] = (
-            [w[slot].copy() for w in weights],
-            [b[slot, 0].copy() for b in biases],
+            [w[slot].astype(np.float64) for w in weights],
+            [b[slot, 0].astype(np.float64) for b in biases],
             traces[net],
         )
     return outcomes
@@ -314,10 +324,10 @@ def train_many(
     bitwise equal to ``train`` fitting it alone, whatever is stacked
     beside it.
 
-    The nets are trained stacked, in groups whose designs and full-data
-    activations fit a fixed memory budget.  ``designs`` is consumed one
-    group at a time, so a generator keeps only the current group's
-    designs in memory.
+    The nets are trained stacked, in float32, in groups whose designs
+    and full-data activations fit a fixed memory budget.  ``designs`` is
+    consumed one group at a time, so a generator keeps only the current
+    group's designs in memory.
 
     Returns one entry per net: its TrainedNet, or the TrainingError that
     ``train`` would have raised for it.  A diverging net leaves the other
@@ -346,7 +356,7 @@ def train_many(
     y_scale = y.std(axis=1, keepdims=True)
     y_scale[y_scale < _SCALE_FLOOR] = 1.0
     # Shared targets stay one row, broadcast to every net without a copy.
-    ys = np.broadcast_to((y - y_mean) / y_scale, (k, n))
+    ys = np.broadcast_to(((y - y_mean) / y_scale).astype(_STACK_DTYPE), (k, n))
     y_scalers = np.broadcast_to(np.hstack([y_mean, y_scale]), (k, 2)).tolist()
 
     # Pairs lead the zip, so no design past the k-th is drawn early.
@@ -358,21 +368,21 @@ def train_many(
         if sizes is None:
             d = head[0].shape[1]
             sizes = [d, *(config.hidden_sizes or default_hidden_sizes(d)), 1]
-            group_size = max(1, _GROUP_BYTES // (8 * n * sum(sizes)))
+            group_size = max(1, _GROUP_BYTES // (_STACK_DTYPE.itemsize * n * sum(sizes)))
         g = min(group_size, k - len(results))
         # The stack precedes the statistics' n x d temporaries: measured
         # 3 MB less peak RSS for a 4000 x 200 design than the reverse.
-        stack = np.empty((g, n, d))
+        stack = np.empty((g, n, d), _STACK_DTYPE)
         scalers = []
         for slot, (x, p) in zip(range(g), chain([head], prepared)):
-            mean, scale = _scaler(x, p)
             if x.shape[1] != d:
                 raise InvalidDataError(
                     f"design {len(results) + slot} has {x.shape[1]} "
                     f"columns, expected {d}"
                 )
-            np.subtract(x, mean, out=stack[slot])
-            stack[slot] /= scale
+            mean, scale = _scaler(x, p)
+            # Divided in float64, rounded to float32 once on the way in.
+            np.divide(x - mean, scale, out=stack[slot])
             scalers.append((mean, scale))
         if len(scalers) < g:
             break

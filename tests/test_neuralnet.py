@@ -156,10 +156,13 @@ def test_non_finite_data_rejected(gen):
 
 
 def test_divergence_raises_with_trace(gen):
+    # float32 overflows within the first epoch from a rate of about 300;
+    # at 100 epoch 1's loss is finite (about 6e70, summed in float64) and
+    # epoch 2's is not
     x = gen.standard_normal((64, 3))
     y = gen.standard_normal(64)
     cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=60,
-                    batch_size=16, learning_rate=1e6)
+                    batch_size=16, learning_rate=100.0)
     with pytest.raises(TrainingError) as info:
         train(x, y, cfg, rng=RngSeed(3))
     assert info.value.trace is not None
@@ -176,14 +179,18 @@ def test_trace_ends_with_full_data_loss(gen, epochs):
     net = train(x, y, cfg, rng=RngSeed(8))
     assert len(net.loss_trace) == epochs + 1
     residual = (net.predict(x) - net.target_mean) / net.target_scale - (y - y.mean()) / y.std()
-    np.testing.assert_allclose(net.loss_trace[-1], np.mean(residual**2), rtol=1e-12)
+    # the trace's residuals are formed in float32 (inputs rounded once,
+    # then two short float32 layers), the reference's in float64: they
+    # agree to a few float32 roundings (measured 3.7e-8 relative)
+    rtol = 10 * np.finfo(np.float32).eps
+    np.testing.assert_allclose(net.loss_trace[-1], np.mean(residual**2), rtol=rtol)
 
 
 def test_one_full_data_forward_per_fit(gen, monkeypatch):
     # minibatches of 32 never span all 70 rows, so only the final loss does
     designs, y, seeds, pairs = _stack_problem(gen, 7)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=5, batch_size=32, learning_rate=1e-2)
-    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", 2 * 8 * 70 * (5 + 6 + 3 + 1))
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
     calls = {"fit": 0, "full": 0}
     fit_stack = neuralnet._fit_stack
     forward = neuralnet._forward
@@ -248,6 +255,12 @@ def _assert_identical(stacked, alone):
         assert (a.target_mean, a.target_scale) == (b.target_mean, b.target_scale)
 
 
+def _two_nets_per_group(n=70, sizes=(5, 6, 3, 1)):
+    """A group budget that holds two stacked nets of ``_stack_problem``'s
+    shape with hidden layers (6, 3)."""
+    return 2 * neuralnet._STACK_DTYPE.itemsize * n * sum(sizes)
+
+
 def _stack_problem(gen, k, n=70, d=5):
     designs = [gen.standard_normal((n, d)) * gen.uniform(0.5, 3.0, d) for _ in range(k)]
     y = designs[0][:, 0] - 0.5 * designs[0][:, 2] + gen.standard_normal(n)
@@ -272,7 +285,7 @@ def test_train_many_across_groups(gen, monkeypatch):
     designs, y, seeds, pairs = _stack_problem(gen, 7)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32,
                     learning_rate=1e-2)
-    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", 2 * 8 * 70 * (5 + 6 + 3 + 1))
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
     pulled = []
     pulled_per_group = []
     fit_stack = neuralnet._fit_stack
@@ -357,11 +370,75 @@ def test_train_many_per_net_targets(gen, monkeypatch):
     ys = np.stack([x[:, 1] * s + gen.standard_normal(70) for x, s in zip(designs, range(1, 8))])
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32,
                     learning_rate=1e-2)
-    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", 2 * 8 * 70 * (5 + 6 + 3 + 1))
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
     stacked = train_many(iter(designs), ys, cfg, seeds, pairs)
     alone = _fit_alone(designs, ys, cfg, seeds, pairs)
     _assert_identical(stacked, alone)
     assert len({net.target_scale for net in stacked}) == 7
+
+
+# ------------------------------------------------------------ float32 stacks
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_stacks_stay_float32_and_equal_lone_runs(gen, monkeypatch, activation):
+    # every forward pass, minibatch or full-data, sees float32 inputs,
+    # weights and biases and gives float32 activations; with in-place
+    # updates this keeps the loop float32 under any scalar promotion rule
+    designs, y, seeds, pairs = _stack_problem(gen, 7)
+    cfg = NetConfig(hidden_sizes=(6, 3), activation=activation, epochs=4,
+                    batch_size=32, learning_rate=1e-2)
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
+    seen = set()
+    fit_stack = neuralnet._fit_stack
+    forward = neuralnet._forward
+
+    def checked_fit_stack(xs, ys, *args):
+        seen.update({("xs", xs.dtype), ("ys", ys.dtype)})
+        return fit_stack(xs, ys, *args)
+
+    def checked_forward(a, weights, biases, act):
+        acts = forward(a, weights, biases, act)
+        seen.update(("forward", arr.dtype) for arr in [*acts, *weights, *biases])
+        return acts
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", checked_fit_stack)
+    monkeypatch.setattr(neuralnet, "_forward", checked_forward)
+    stacked = train_many(designs, y, cfg, seeds, pairs)
+    f32 = np.dtype(np.float32)
+    assert seen == {("xs", f32), ("ys", f32), ("forward", f32)}
+    _assert_identical(stacked, _fit_alone(designs, y, cfg, seeds, pairs))
+
+
+def test_results_are_float64(gen):
+    designs, y, seeds, pairs = _stack_problem(gen, 3)
+    cfg = NetConfig(hidden_sizes=(6, 3), epochs=3, batch_size=32, learning_rate=1e-2)
+    for net in train_many(designs, y, cfg, seeds, pairs):
+        assert all(w.dtype == np.float64 for w in net.weights)
+        assert all(b.dtype == np.float64 for b in net.biases)
+        assert net.input_mean.dtype == net.input_scale.dtype == np.float64
+        assert len(net.loss_trace) == 4
+        assert all(type(v) is float for v in net.loss_trace)
+    # a diverging net's trace, too, is Python floats
+    cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=20, batch_size=16,
+                    learning_rate=100.0)
+    with pytest.raises(TrainingError) as info:
+        train(designs[0], y, cfg)
+    assert all(type(v) is float for v in info.value.trace)
+
+
+def test_weights_start_from_float32_rounded_draws(gen):
+    # zero epochs: the returned weights are the initial uniform draws,
+    # each rounded to float32 once, then widened back to float64
+    x = gen.standard_normal((40, 3))
+    cfg = NetConfig(hidden_sizes=(5,), epochs=0, batch_size=10)
+    net = train(x, x[:, 0], cfg, rng=RngSeed(4))
+    draws = RngSeed(4).generator()
+    for w, (a, b) in zip(net.weights, [(3, 5), (5, 1)]):
+        limit = 1.0 / np.sqrt(a)  # scaled by fan-in
+        expected = draws.uniform(-limit, limit, size=(a, b))
+        assert np.array_equal(w, expected.astype(np.float32).astype(np.float64))
+        assert not np.array_equal(w, expected)
 
 
 def test_train_many_validation(gen):
@@ -374,6 +451,11 @@ def test_train_many_validation(gen):
         train_many([x], x[:, 0], cfg, seeds)
     with pytest.raises(InvalidDataError):
         train_many([x, x[:, :2]], x[:, 0], cfg, seeds)
+    # a design's width is checked before its pairs: (3, 4) lies outside the
+    # narrow design, yet the error is its width, a data error
+    wide = np.column_stack([x, x[:, :2]])
+    with pytest.raises(InvalidDataError, match="design 1 has 3 columns, expected 5"):
+        train_many([wide, x], x[:, 0], cfg, seeds, [[(3, 4)], [(3, 4)]])
     # targets: one vector, or one row per net
     with pytest.raises(ConfigurationError, match="one row per net"):
         train_many([x, x], x[:, :3].T, cfg, seeds)

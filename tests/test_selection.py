@@ -365,7 +365,8 @@ class TestRunIngm:
 
     def test_diverging_nets_isolated_then_abort(self, monkeypatch):
         # relu nets on the edge of divergence: at lr 0.5 one of the ten
-        # per-feature nets diverges, at lr 0.6 two do (more than a tenth)
+        # per-feature nets diverges, at lr 0.55 two do (more than a tenth);
+        # rates re-found for float32 training, where 0.6 fails three
         gen = RngSeed(40).child(99).generator()
         x = gen.standard_normal((60, 10))
         ds = Dataset(x, 3.0 * x[:, 0] + gen.standard_normal(60))
@@ -401,9 +402,9 @@ class TestRunIngm:
         assert all(rec["failure_reason"] is None for rec in records if rec["index"] != 8)
 
         with pytest.raises(TrainingError) as info:
-            run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.6), rng=RngSeed(2))
+            run_ingm(ds, q=0.2, spec=LINEAR, net=net(0.55), rng=RngSeed(2))
         assert str(info.value).startswith("2 of 10 per-feature networks failed")
-        assert info.value.feature_index == 3 and type(info.value.feature_index) is int
+        assert info.value.feature_index == 2 and type(info.value.feature_index) is int
 
     def test_sngm_faster_for_ten_plus_features(self):
         # joint run trains one network, individual run trains twelve
