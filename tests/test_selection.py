@@ -365,8 +365,8 @@ class TestRunIngm:
 
     def test_diverging_nets_isolated_then_abort(self, monkeypatch):
         # relu nets on the edge of divergence: at lr 0.5 one of the ten
-        # per-feature nets diverges, at lr 0.55 two do (more than a tenth);
-        # rates re-found for float32 training, where 0.6 fails three
+        # per-feature nets diverges, at lr 0.55 two do (more than a tenth;
+        # at 0.6 three do)
         gen = RngSeed(40).child(99).generator()
         x = gen.standard_normal((60, 10))
         ds = Dataset(x, 3.0 * x[:, 0] + gen.standard_normal(60))

@@ -466,8 +466,7 @@ class TestRunBenchmark:
         assert len(stacked.rows) >= 5
 
     def test_failing_rep_leaves_its_chunk(self):
-        # one chunk of six reps; rep 5's joint net diverges (at epoch 4 in
-        # float32 training)
+        # one chunk of six reps; rep 5's joint net diverges
         design, model = STACK_CASE
         assert _chunks(6, 1, 8 * design.n * (design.p + 1)) == [range(6)]
         result = run_benchmark(design, model, "sngm", 0.2, 6, RngSeed(3), net=EDGE_NET)
