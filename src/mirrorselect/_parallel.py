@@ -1,12 +1,29 @@
-"""Process-based map used by the benchmark driver.
+"""Where mirrorselect runs work in parallel: a process map for the
+benchmark's repetitions and a thread map for the per-feature c-searches.
 
-Work units carry their own seeds, so the result is identical whatever
-the worker count; parallelism only changes wall-clock time.
+Work units carry their own seeds and write nothing shared, so the result
+is identical whatever the worker count; parallelism only changes
+wall-clock time.  A process of ``parallel_map``'s pool runs its thread
+maps inline, so the benchmark's worker count stays the one control of
+its parallelism.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+# Memory the items of one thread map may hold at once: a tall design
+# runs fewer concurrent c-searches, each of which holds n x n arrays.
+_THREAD_BYTES = 100_000_000
+
+# True in a process of parallel_map's pool.
+_IN_WORKER = False
+
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
@@ -16,5 +33,35 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
+    with ProcessPoolExecutor(
+        max_workers=min(threads, len(items)), initializer=_mark_worker
+    ) as pool:
+        return list(pool.map(fn, items))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_count(count: int, item_bytes: int) -> int:
+    """Threads for ``count`` items of ``item_bytes`` each: the smallest of
+    the usable CPUs, the item count and the items ``_THREAD_BYTES``
+    holds, at least 1; always 1 in a process of ``parallel_map``'s pool."""
+    if _IN_WORKER:
+        return 1
+    return max(1, min(_cpus(), count, _THREAD_BYTES // item_bytes))
+
+
+def thread_map(fn, items, item_bytes: int) -> list:
+    """``[fn(item) for item in items]`` on a thread pool sized by
+    ``_thread_count``, inline with one thread.  Results come in item
+    order, and an error raises that of the first failing item."""
+    items = list(items)
+    threads = _thread_count(len(items), item_bytes)
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

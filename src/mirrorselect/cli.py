@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_parse_threads,
         default=1,
-        help="worker processes for the repetitions, or 'auto'",
+        help="worker processes for the repetitions, or 'auto'; a worker "
+        "runs its features' mirror searches one after another",
     )
     _add_design(p_bench)
     _add_method(p_bench)

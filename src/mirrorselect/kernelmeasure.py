@@ -14,17 +14,19 @@ kernels a bracketed golden-section search is used.
 
 Both public entry points, ``conditional_dependence`` and ``minimize_c``,
 take data and validate it once; the private ``_gram``, ``_center`` and
-``_dependence`` behind them trust their arguments.  ``_center``
-double-centers an exactly symmetric matrix in place, so ``_dependence``
-overwrites the K_U and K_V it is given.  The non-linear c-search
-builds one ``_Objective`` per feature.  It holds K_W, the bound c_max,
-and, for the gaussian family, the pairwise differences of x and of z
-scaled by the bandwidth resolved from x (x and z for the polynomial
-family), and it owns two n x n buffers.  An evaluation overwrites the
-buffers with the halves' Grams and centers them there; it allocates no
-n x n array and reads no Gram's magnitude unless the measure comes out
-negative.  ``_linear_scales`` solves the linear quartic for every column
-of a design at once, for ``minimize_c`` and the mirror construction.
+``_dependence`` behind them trust their arguments.  K_U and K_V travel
+as one (2, n, n) stack, which ``_dependence`` centers in place.  The
+non-linear c-search builds one ``_Objective`` per feature.  It holds
+K_W, the bound c_max, and, for the gaussian family, the pairwise
+differences of x and of z scaled by the bandwidth resolved from x (x
+and z for the polynomial family), and it owns one (2, n, n) buffer.  An
+evaluation overwrites the buffer with the halves' Grams, one numpy call
+per step for both, and centers them there, each bitwise as if alone; it
+allocates no n x n array and reads no Gram's magnitude unless the
+measure comes out negative.  Objectives share nothing, so ``mirror``
+runs the features' searches on threads.  ``_linear_scales`` solves the
+linear quartic for every column of a design at once, for
+``minimize_c`` and the mirror construction.
 """
 
 from __future__ import annotations
@@ -89,30 +91,30 @@ def _as_block(data, label: str = "kernel input") -> np.ndarray:
 
 
 def _pairwise_sq_dists(block: np.ndarray) -> np.ndarray:
+    """max(|a_i|**2 + |a_k|**2 - 2 a_i.a_k, 0) over the rows of block,
+    in one n x n array besides the product."""
     sq = np.einsum("ij,ij->i", block, block)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (block @ block.T)
-    return np.maximum(d2, 0.0)
+    products = block @ block.T
+    products *= 2.0
+    d2 = np.add.outer(sq, sq)
+    d2 -= products
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def median_heuristic_bandwidth(data) -> float:
-    """Median of the nonzero pairwise distances between rows; 1.0 when all
-    rows coincide (so the resulting bandwidth is always usable)."""
-    block = _as_block(data)
-    d2 = _pairwise_sq_dists(block)
-    iu = np.triu_indices(block.shape[0], k=1)
-    dists = np.sqrt(d2[iu])
+def _median_distance(d2: np.ndarray) -> float:
+    """Median of the nonzero distances among pairwise squared distances
+    ``d2``; 1.0 when all rows coincide."""
+    dists = np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)])
     dists = dists[dists > 0]
     if dists.size == 0:
         return 1.0
     return float(np.median(dists))
 
 
-def _resolved(spec: KernelSpec, block) -> KernelSpec:
-    """``spec``, with a gaussian bandwidth left unset resolved by the
-    median heuristic on ``block``."""
-    if spec.family == "gaussian" and spec.bandwidth is None:
-        return replace(spec, bandwidth=median_heuristic_bandwidth(block))
-    return spec
+def median_heuristic_bandwidth(data) -> float:
+    """Median of the nonzero pairwise distances between rows; 1.0 when all
+    rows coincide (so the resulting bandwidth is always usable)."""
+    return _median_distance(_pairwise_sq_dists(_as_block(data)))
 
 
 def _int_power(k: np.ndarray, degree: int, scratch=None) -> np.ndarray:
@@ -137,15 +139,20 @@ def _int_power(k: np.ndarray, degree: int, scratch=None) -> np.ndarray:
 
 def _gram(block: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Exactly symmetric Gram matrix of a finite 2-d block with at least
-    one column, under a spec whose gaussian bandwidth is resolved."""
+    one column; an unset gaussian bandwidth is the median heuristic on
+    the block."""
     if spec.family == "linear":
         k = block @ block.T
     elif spec.family == "gaussian":
-        bw = spec.bandwidth
-        k = np.exp(_pairwise_sq_dists(block) / (-2.0 * bw * bw))
+        k = _pairwise_sq_dists(block)
+        bw = _median_distance(k) if spec.bandwidth is None else spec.bandwidth
+        k /= -2.0 * bw * bw
+        np.exp(k, out=k)
     else:
         k = _int_power(block @ block.T + spec.offset, spec.degree)
-    return (k + k.T) / 2.0
+    sym = np.add(k, k.T)
+    sym /= 2.0
+    return sym
 
 
 def gram_matrix(data, spec: KernelSpec) -> np.ndarray:
@@ -158,7 +165,7 @@ def gram_matrix(data, spec: KernelSpec) -> np.ndarray:
     block = _as_block(data)
     if block.shape[1] == 0:
         raise InvalidDataError("kernel input must have at least one column")
-    return _gram(block, _resolved(spec, block))
+    return _gram(block, spec)
 
 
 def _gram_w(w_block: np.ndarray, spec: KernelSpec, n: int) -> np.ndarray:
@@ -182,11 +189,13 @@ def _conditioning_block(w, n: int) -> np.ndarray:
 
 
 def _center(k: np.ndarray) -> None:
-    """Double-center an exactly symmetric matrix in place: H K H with
-    H = I - (1/n) 11', from one vector of means (rows and columns agree)."""
-    means = k.mean(axis=0)
-    k -= means
-    k -= (means - means.mean())[:, None]
+    """Double-center each exactly symmetric n x n matrix of a (..., n, n)
+    stack in place: H K H with H = I - (1/n) 11', from one vector of
+    means per matrix (its rows and columns agree).  Each matrix comes out
+    bitwise as if centered alone."""
+    means = k.mean(axis=-2)
+    k -= means[..., None, :]
+    k -= (means - means.mean(axis=-1, keepdims=True))[..., None]
 
 
 def _magnitude(k: np.ndarray) -> float:
@@ -194,15 +203,16 @@ def _magnitude(k: np.ndarray) -> float:
     return max(float(k.max()), -float(k.min()))
 
 
-def _dependence(k_u: np.ndarray, k_v: np.ndarray, k_w: np.ndarray) -> float:
-    """The measure on three same-shape symmetric Gram matrices; a
-    non-finite entry (an overflowing kernel) raises NumericalError.  K_U
-    and K_V must be exactly symmetric, and are centered in place: the
-    caller's two matrices are overwritten.  Only a negative value, which
-    PSD Grams reach only by rounding, reads the three magnitudes."""
-    n = k_u.shape[0]
-    _center(k_u)
-    _center(k_v)
+def _dependence(k_uv: np.ndarray, k_w: np.ndarray) -> float:
+    """The measure on the (2, n, n) stack of K_U and K_V and the n x n
+    K_W, all symmetric Grams; a non-finite entry (an overflowing kernel)
+    raises NumericalError.  K_U and K_V must be exactly symmetric, and
+    are centered in place: the caller's stack is overwritten.  Only a
+    negative value, which PSD Grams reach only by rounding, reads the
+    three magnitudes."""
+    k_u, k_v = k_uv
+    n = k_w.shape[0]
+    _center(k_uv)
     value = float(np.einsum("ij,ij,ij->", k_u, k_v, k_w)) / (n * n)
     if not math.isfinite(value):
         raise NumericalError("dependence measure is non-finite")
@@ -232,7 +242,7 @@ def conditional_dependence(
     if k_v.shape[0] != n:
         raise InvalidDataError(f"u has {n} rows and v has {k_v.shape[0]}")
     k_w = _gram_w(_conditioning_block(w, n), spec, n)
-    return _dependence(k_u, k_v, k_w)
+    return _dependence(np.stack((k_u, k_v)), k_w)
 
 
 @dataclass(frozen=True)
@@ -351,12 +361,13 @@ class _Objective:
     the bandwidth-scaled pairwise differences x_i - x_k and z_i - z_k
     (scaled by 1 / (sqrt(2) h), h resolved from x), so that
     K_U = exp(-(dx + c dz)**2) and K_V = exp(-(dx - c dz)**2); for the
-    polynomial family it is x and z themselves.  The object also owns two
-    n x n buffers (and a third, scratch for the power, for a polynomial
-    degree that is not a power of two).  A call overwrites them with K_U
-    and K_V (``halves``), centers them in place and checks only the
-    resulting value (``_dependence``) and its square; the held
-    differences and K_W are only read.
+    polynomial family it is x and z themselves.  The object also owns one
+    (2, n, n) buffer (and a second, scratch for the power, for a
+    polynomial degree that is not a power of two).  A call overwrites it
+    with K_U and K_V (``halves``), centers them in place and checks only
+    the resulting value (``_dependence``) and its square; the held
+    differences and K_W are only read, so objectives of different
+    features may run on different threads.
     """
 
     def __init__(self, x, z, w_block, spec: KernelSpec, search: SearchConfig):
@@ -365,8 +376,10 @@ class _Objective:
         self.c_max = (
             search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
         )
-        self.spec = _resolved(spec, x)
-        if self.spec.family == "gaussian":
+        if spec.family == "gaussian" and spec.bandwidth is None:
+            spec = replace(spec, bandwidth=median_heuristic_bandwidth(x))
+        self.spec = spec
+        if spec.family == "gaussian":
             scale = 1.0 / (math.sqrt(2.0) * self.spec.bandwidth)
             x = np.subtract.outer(x, x)
             x *= scale
@@ -374,37 +387,36 @@ class _Objective:
             z *= scale
         self.x = x
         self.z = z
-        self.k_u = np.empty((n, n))
-        self.k_v = np.empty((n, n))
+        self.k = np.empty((2, n, n))
         degree = self.spec.degree
         self.scratch = (
-            np.empty((n, n))
+            np.empty_like(self.k)
             if self.spec.family == "polynomial" and degree & (degree - 1)
             else None
         )
 
-    def halves(self, c: float) -> tuple[np.ndarray, np.ndarray]:
-        """K_U and K_V at scale c, written into the held buffers.  Both are
-        exactly symmetric; the gaussian ones have a unit diagonal."""
-        k_u, k_v = self.k_u, self.k_v
+    def halves(self, c: float) -> np.ndarray:
+        """The (2, n, n) stack of K_U and K_V at scale c, written into the
+        held buffer.  Both are exactly symmetric; the gaussian ones have a
+        unit diagonal."""
+        k = self.k
         if self.spec.family == "gaussian":
-            # c dz goes into K_V's buffer, which dx - c dz then overwrites
-            shift = np.multiply(self.z, c, out=k_v)
-            np.add(self.x, shift, out=k_u)
-            np.subtract(self.x, shift, out=k_v)
-            for k in (k_u, k_v):
-                np.square(k, out=k)
-                np.negative(k, out=k)
-                np.exp(k, out=k)
+            # c dz goes into K_V's slot, which dx - c dz then overwrites
+            shift = np.multiply(self.z, c, out=k[1])
+            np.add(self.x, shift, out=k[0])
+            np.subtract(self.x, shift, out=k[1])
+            np.square(k, out=k)
+            np.negative(k, out=k)
+            np.exp(k, out=k)
         else:
-            for k, row in ((k_u, self.x + c * self.z), (k_v, self.x - c * self.z)):
-                np.multiply.outer(row, row, out=k)
-                k += self.spec.offset
-                _int_power(k, self.spec.degree, self.scratch)
-        return k_u, k_v
+            for half, row in zip(k, (self.x + c * self.z, self.x - c * self.z)):
+                np.multiply.outer(row, row, out=half)
+            k += self.spec.offset
+            _int_power(k, self.spec.degree, self.scratch)
+        return k
 
     def __call__(self, c: float) -> float:
-        value = _dependence(*self.halves(c), self.k_w)
+        value = _dependence(self.halves(c), self.k_w)
         squared = value * value
         if not math.isfinite(squared):
             raise NumericalError(f"objective is non-finite at c={c}")

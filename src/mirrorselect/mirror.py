@@ -8,7 +8,8 @@ the response, which is what the downstream sign-symmetry argument needs.
 
 Each feature's z comes from a stream keyed by the column *name*, so it
 does not depend on the other columns, and permuting columns permutes
-the mirrors with them.
+the mirrors with them.  The non-linear kernels' searches for c are
+independent of each other, so they run on ``thread_map``'s pool.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import thread_map
 from .dataset import Dataset
 from .errors import InvalidDataError, MirrorSelectError, _check_type
 from .kernelmeasure import KernelSpec, _linear_scales, minimize_c
@@ -52,12 +54,14 @@ def make_all_mirrors(
     if spec.family == "linear":
         c = _linear_scales(x, z.T, names)
     else:
-        c = np.empty(dataset.p)
-        for j in range(dataset.p):
+        def search(j: int) -> float:
             try:
-                c[j] = minimize_c(x[:, j], z[j], np.delete(x, j, axis=1), spec).c_star
+                return minimize_c(x[:, j], z[j], np.delete(x, j, axis=1), spec).c_star
             except MirrorSelectError as err:
                 raise type(err)(f"feature {j} ({names[j]}): {err}") from err
+
+        # a search holds at most five n x n float64 arrays (kernelmeasure)
+        c = np.array(thread_map(search, range(dataset.p), 5 * 8 * dataset.n**2))
     pairs = []
     for name, z_j, c_j, x_j in zip(names, z, c.tolist(), x.T):
         shift = c_j * z_j

@@ -373,8 +373,9 @@ def run_benchmark(
     The reps are cut into chunks (about one per worker, capped so a
     chunk's designs fit the training memory budget), and each chunk's
     reps go through the selection pipeline together, their nets fitted
-    stacked; ``parallel_map`` spreads the chunks over ``threads``
-    processes.  Each rep's record equals that of selecting on its data
+    stacked; ``parallel_map`` spreads the chunks over ``threads`` worker
+    processes, each of which runs its mirror searches one after another
+    instead of on a thread pool.  Each rep's record equals that of selecting on its data
     alone, so results do not depend on ``threads``, on the chunking or
     on execution order; only ``runtime_ms`` does.  A rep that fails is
     listed in ``failures`` and leaves the other reps unchanged.  For the

@@ -166,7 +166,7 @@ def test_dependence_is_the_measure_on_the_public_grams(gen, spec, d_u, d_v):
         v = gen.standard_normal((n, d_v))
         w = gen.standard_normal((n, 3))
         expect = kernelmeasure._dependence(
-            gram_matrix(u, spec), gram_matrix(v, spec), gram_matrix(w, spec)
+            np.stack((gram_matrix(u, spec), gram_matrix(v, spec))), gram_matrix(w, spec)
         )
         assert conditional_dependence(u, v, w, spec) == expect
 
@@ -193,6 +193,17 @@ def test_dependence_overflow_is_numerical_error(gen):
             conditional_dependence(u, v, w, KernelSpec("polynomial", degree=400))
 
 
+@pytest.mark.parametrize("n", [1, 2, 17, 40, 129])
+def test_center_on_a_stack_is_each_matrix_centered_alone(gen, n):
+    grams = [gram_matrix(gen.standard_normal((n, 2)), spec)
+             for spec in (KernelSpec("gaussian"), KernelSpec("polynomial", degree=3))]
+    stack = np.stack(grams)
+    kernelmeasure._center(stack)
+    for gram, centered in zip(grams, stack):
+        kernelmeasure._center(gram)
+        np.testing.assert_array_equal(centered, gram)
+
+
 def _correlated_grams(gen, n=12):
     u = gen.standard_normal(n)
     return gram_matrix(u, LINEAR), gram_matrix(u + 0.3 * gen.standard_normal(n), LINEAR)
@@ -202,7 +213,7 @@ def test_dependence_rejects_a_non_psd_conditioning_gram(gen):
     n = 12
     k_u, k_v = _correlated_grams(gen, n)
     with pytest.raises(NumericalError, match="negative beyond tolerance"):
-        kernelmeasure._dependence(k_u, k_v, -np.ones((n, n)))
+        kernelmeasure._dependence(np.stack((k_u, k_v)), -np.ones((n, n)))
 
 
 def test_dependence_clips_a_negative_value_within_tolerance(gen):
@@ -211,7 +222,7 @@ def test_dependence_clips_a_negative_value_within_tolerance(gen):
     k_w = -1e-12 * np.ones((n, n))
     raw = naive_conditional_dependence(k_u, k_v, k_w)
     assert -1e-9 < raw < 0.0
-    assert kernelmeasure._dependence(k_u, k_v, k_w) == 0.0
+    assert kernelmeasure._dependence(np.stack((k_u, k_v)), k_w) == 0.0
 
 
 def test_conditional_dependence_leaves_its_inputs_unchanged(gen):
@@ -563,8 +574,10 @@ class _PublicObjective:
 
     def __call__(self, c):
         value = kernelmeasure._dependence(
-            gram_matrix(self.x + c * self.z, self.spec),
-            gram_matrix(self.x - c * self.z, self.spec),
+            np.stack((
+                gram_matrix(self.x + c * self.z, self.spec),
+                gram_matrix(self.x - c * self.z, self.spec),
+            )),
             self.k_w,
         )
         return value * value

@@ -1,3 +1,5 @@
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from mirrorselect import (
     sample_design,
     sample_response,
 )
-from mirrorselect import mirror, selection
+from mirrorselect import _parallel, mirror, selection
 from conftest import dependence_on_grid
 
 LINEAR = KernelSpec("linear")
@@ -208,22 +210,94 @@ def test_linear_mirrors_take_one_closed_form_call(gen, monkeypatch):
     assert len(calls) == 1
 
 
+def _feature_of(ds, x):
+    """The index of the design column a search was handed."""
+    return next(j for j in range(ds.p) if np.array_equal(x, ds.x[:, j]))
+
+
 def test_failing_search_names_its_feature(gen, monkeypatch):
+    ds = _dataset(gen, n=20, p=5)
     searched = []
 
     def third_fails(x, z, w, spec):
         searched.append(z)
-        if len(searched) == 3:
+        if _feature_of(ds, x) == 2:
             raise NumericalError("search failed")
         return CMinimizationResult(0.5, 1)
 
     monkeypatch.setattr(mirror, "minimize_c", third_fails)
-    ds = _dataset(gen, n=20, p=5)
     with pytest.raises(NumericalError, match=r"^feature 2 \(x2\): search failed$"):
         make_all_mirrors(ds, KernelSpec("gaussian"), RngSeed(1))
     # each search was handed its feature's own contiguous 1-d z
-    assert [z.ndim for z in searched] == [1, 1, 1]
-    assert all(z.flags.c_contiguous for z in searched)
+    assert len(searched) >= 3
+    assert all(z.ndim == 1 and z.flags.c_contiguous for z in searched)
+
+
+def _pool_of(monkeypatch, threads):
+    """Force every thread map to ``threads`` threads; the returned list
+    records the size of each thread pool started."""
+    pools = []
+
+    class RecordingPool(_parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(_parallel, "_thread_count", lambda count, item_bytes: threads)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec("gaussian"), KernelSpec("polynomial", degree=3)],
+    ids=["gaussian", "polynomial"],
+)
+def test_concurrent_searches_give_bitwise_the_inline_mirrors(gen, monkeypatch, spec):
+    ds = _dataset(gen, n=40, p=6)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, within an evaluation
+    try:
+        for threads in (1, ds.p):
+            pools = _pool_of(monkeypatch, threads)
+            runs.append(make_all_mirrors(ds, spec, RngSeed(4)))
+            assert pools == ([] if threads == 1 else [threads])
+    finally:
+        sys.setswitchinterval(interval)
+    for inline, pooled in zip(*runs):
+        assert inline.c == pooled.c
+        np.testing.assert_array_equal(inline.x_plus, pooled.x_plus)
+        np.testing.assert_array_equal(inline.x_minus, pooled.x_minus)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_lowest_failing_feature_is_named_at_every_pool_size(gen, monkeypatch, threads):
+    ds = _dataset(gen, n=20, p=5)
+    _pool_of(monkeypatch, threads)
+
+    def two_fail(x, z, w, spec):
+        j = _feature_of(ds, x)
+        if j == 1:
+            time.sleep(0.05)  # with a pool, feature 3 fails first
+        if j in (1, 3):
+            raise NumericalError(f"search {j} failed")
+        return CMinimizationResult(0.5, 1)
+
+    monkeypatch.setattr(mirror, "minimize_c", two_fail)
+    with pytest.raises(NumericalError, match=r"^feature 1 \(x1\): search 1 failed$"):
+        make_all_mirrors(ds, KernelSpec("gaussian"), RngSeed(1))
+
+
+def test_a_search_over_the_memory_budget_runs_inline(gen, monkeypatch):
+    ds = _dataset(gen, n=20, p=4)
+    # one gaussian search holds five n x n float64 arrays
+    monkeypatch.setattr(_parallel, "_THREAD_BYTES", 5 * 8 * ds.n**2 - 1)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
+    pools = []
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", lambda max_workers: pools.append(0))
+    assert len(make_all_mirrors(ds, KernelSpec("gaussian"), RngSeed(1))) == 4
+    assert pools == []
 
 
 def test_column_permutation_permutes_mirrors(gen):

@@ -1,6 +1,7 @@
 """Tests for synthetic designs, response models, metrics, ROC sweeps and
 the benchmark driver."""
 
+import functools
 import math
 from dataclasses import asdict
 
@@ -765,7 +766,7 @@ def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
     pools = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             pools.append(max_workers)
 
         def __enter__(self):
@@ -782,3 +783,24 @@ def test_parallel_map_forks_no_more_workers_than_items(monkeypatch):
     assert _parallel.parallel_map(abs, range(-5, 0), threads=2) == [5, 4, 3, 2, 1]
     assert _parallel.parallel_map(abs, [-4], threads=8) == [4]
     assert pools == [3, 2]
+
+
+def test_thread_count_is_capped_by_cpus_items_and_memory(monkeypatch):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
+    budget = _parallel._THREAD_BYTES
+    assert _parallel._thread_count(20, budget // 8) == 4
+    assert _parallel._thread_count(3, budget // 8) == 3
+    assert _parallel._thread_count(20, budget // 2) == 2
+    # one item over the budget still runs, on one thread
+    assert _parallel._thread_count(20, budget + 1) == 1
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+    assert _parallel._thread_count(20, 8) == 1
+
+
+def test_thread_maps_run_inline_in_parallel_map_workers(monkeypatch):
+    # the pool's initializer marks its processes; the caller stays unmarked
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
+    count = functools.partial(_parallel._thread_count, 4)
+    assert count(8) == 4
+    assert _parallel.parallel_map(count, [8, 8], threads=2) == [1, 1]
+    assert count(8) == 4
