@@ -1,5 +1,6 @@
 """Where mirrorselect runs work in parallel: a process map for the
-benchmark's repetitions and a thread map for the per-feature c-searches.
+benchmark's repetitions, and a thread map for the per-feature c-searches
+and for the groups of nets that ``train_many`` fits.
 
 Work units carry their own seeds and write nothing shared, so the result
 is identical whatever the worker count; parallelism only changes
@@ -16,6 +17,12 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 # Memory the items of one thread map may hold at once: a tall design
 # runs fewer concurrent c-searches, each of which holds n x n arrays.
 _THREAD_BYTES = 100_000_000
+
+# Memory one chunk's items may hold: the float32 stacked designs and
+# full-data activations of a group of nets trained together (about 33
+# nets at n = 300, d = 51 with hidden layers (32, 16)), or the drawn data
+# of a chunk of benchmark reps.
+_GROUP_BYTES = 4_000_000
 
 # True in a process of parallel_map's pool.
 _IN_WORKER = False
@@ -37,6 +44,17 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         max_workers=min(threads, len(items)), initializer=_mark_worker
     ) as pool:
         return list(pool.map(fn, items))
+
+
+def _chunks(count: int, threads: int, item_bytes: int, budget: int = _GROUP_BYTES) -> list[range]:
+    """Indices 0..count-1 cut into consecutive chunks of near-equal size,
+    one per worker per round, with as few rounds as keep each chunk's
+    ``item_bytes`` per item within ``budget``.  Chunk sizes therefore do
+    not grow with ``count``."""
+    cap = max(1, budget // item_bytes)
+    rounds = -(-count // (threads * cap))
+    size = -(-count // (threads * rounds))
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _cpus() -> int:

@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_threads,
         default=1,
         help="worker processes for the repetitions, or 'auto'; a worker "
-        "runs its features' mirror searches one after another",
+        "runs its mirror searches and its training inline, on no thread pool",
     )
     _add_design(p_bench)
     _add_method(p_bench)

@@ -20,6 +20,8 @@ from itertools import chain
 
 import numpy as np
 
+from . import _parallel
+from ._parallel import _GROUP_BYTES
 from .errors import (
     ConfigurationError, InvalidDataError, TrainingError,
     _check_choice, _check_integer, _check_number, _check_type, _set_fields,
@@ -58,11 +60,6 @@ ACTIVATIONS = {
 # once from float64.  Loss traces accumulate in float64 and a TrainedNet
 # holds float64 weights.
 _STACK_DTYPE = np.dtype(np.float32)
-
-# Nets are fitted in groups whose float32 stacked designs plus full-data
-# activations take at most this many bytes (about twenty 300 x 51 nets
-# with hidden layers (32, 16)).
-_GROUP_BYTES = 2_500_000
 
 
 def default_hidden_sizes(d: int) -> tuple[int, int]:
@@ -213,6 +210,30 @@ def _forward(a, weights, biases, act) -> list[np.ndarray]:
     return acts
 
 
+def _sgd_step(xb, yb, weights, biases, act, dact, lr) -> np.ndarray:
+    """One minibatch step of every net in the stack, updating weights and
+    biases in place.  Returns each net's summed squared residual before
+    the step.  The step's activations and gradients are freed on return,
+    so no step holds them alongside the next one's."""
+    acts = _forward(xb, weights, biases, act)
+    # d_s: loss gradient at the pre-activations of layer t + 1
+    d_s = acts.pop()
+    d_s[:, :, 0] -= yb
+    losses = np.einsum("gbo,gbo->g", d_s, d_s, dtype=np.float64)
+    d_s *= 2.0 / xb.shape[1]
+    for t in range(len(weights) - 1, -1, -1):
+        grad_w = np.matmul(acts[t].transpose(0, 2, 1), d_s)
+        grad_b = d_s.sum(axis=1, keepdims=True)
+        if t > 0:
+            d_s = np.matmul(d_s, weights[t].transpose(0, 2, 1))
+            d_s *= dact(acts[t])
+        grad_w *= lr
+        grad_b *= lr
+        weights[t] -= grad_w
+        biases[t] -= grad_b
+    return losses
+
+
 # A diverging net overflows to inf and NaN on its way out; the
 # finite-loss check below reports it as a TrainingError instead.
 @np.errstate(over="ignore", invalid="ignore")
@@ -259,22 +280,7 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
             rows = np.arange(len(nets))[:, None]
             for start in range(0, n, config.batch_size):
                 idx = perm[:, start : start + config.batch_size]
-                acts = _forward(xs[rows, idx], weights, biases, act)
-                # d_s: loss gradient at the pre-activations of layer t + 1
-                d_s = acts.pop()
-                d_s[:, :, 0] -= ys[rows, idx]
-                losses += np.einsum("gbo,gbo->g", d_s, d_s, dtype=np.float64)
-                d_s *= 2.0 / idx.shape[1]
-                for t in range(len(weights) - 1, -1, -1):
-                    grad_w = np.matmul(acts[t].transpose(0, 2, 1), d_s)
-                    grad_b = d_s.sum(axis=1, keepdims=True)
-                    if t > 0:
-                        d_s = np.matmul(d_s, weights[t].transpose(0, 2, 1))
-                        d_s *= dact(acts[t])
-                    grad_w *= lr
-                    grad_b *= lr
-                    weights[t] -= grad_w
-                    biases[t] -= grad_b
+                losses += _sgd_step(xs[rows, idx], ys[rows, idx], weights, biases, act, dact, lr)
         losses /= n
         for net, loss in zip(nets, losses):
             traces[net].append(float(loss))
@@ -306,6 +312,48 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
     return outcomes
 
 
+def _fit_round(prepared, groups, ys, y_scalers, seeds, sizes, config: NetConfig) -> list:
+    """Stack each group's designs, drawn in order from ``prepared``, then
+    fit the groups concurrently on the thread map.  Returns the round's
+    nets in order, as ``train_many`` does; the stacks are freed on
+    return, before the next round draws its designs."""
+    n, d = ys.shape[1], sizes[0]
+    spans = [slice(group.start, group.stop) for group in groups]
+    stacks = []
+    scalers = []
+    for group in groups:
+        # The stack precedes the statistics' n x d temporaries: measured
+        # 3 MB less peak RSS for a 4000 x 200 design than the reverse.
+        stack = np.empty((len(group), n, d), _STACK_DTYPE)
+        drawn = len(scalers)
+        for i, (x, p) in zip(group, prepared):
+            if x.shape[1] != d:
+                raise InvalidDataError(
+                    f"design {i} has {x.shape[1]} columns, expected {d}"
+                )
+            mean, scale = _scaler(x, p)
+            # Divided in float64, rounded to float32 once on the way in.
+            np.divide(x - mean, scale, out=stack[i - group.start])
+            scalers.append((mean, scale))
+        if len(scalers) - drawn < len(group):
+            raise ConfigurationError(f"expected {len(seeds)} designs, got fewer")
+        stacks.append(stack)
+    fits = _parallel.thread_map(
+        lambda job: _fit_stack(job[0], ys[job[1]], seeds[job[1]], sizes, config),
+        zip(stacks, spans),
+        _GROUP_BYTES,
+    )
+    y_scalers = y_scalers[groups[0].start : groups[-1].stop]
+    nets = []
+    for fit, (mean, scale), (y_mean, y_scale) in zip(chain(*fits), scalers, y_scalers):
+        if isinstance(fit, TrainingError):
+            nets.append(fit)
+            continue
+        w, b, trace = fit
+        nets.append(TrainedNet(w, b, config.activation, trace, mean, scale, y_mean, y_scale))
+    return nets
+
+
 def train_many(
     designs,
     targets,
@@ -324,10 +372,13 @@ def train_many(
     bitwise equal to ``train`` fitting it alone, whatever is stacked
     beside it.
 
-    The nets are trained stacked, in float32, in groups whose designs
-    and full-data activations fit a fixed memory budget.  ``designs`` is
-    consumed one group at a time, so a generator keeps only the current
-    group's designs in memory.
+    The nets are trained stacked, in float32, in near-equal groups whose
+    designs and full-data activations fit a fixed memory budget.  Each
+    round fits one group per thread of the thread map, concurrently, and
+    uses as few rounds as the budget allows; in a process of the
+    benchmark's pool, on one usable CPU or for one net the groups run
+    inline.  ``designs`` is consumed one round at a time, so a generator
+    keeps only the current round's designs in memory.
 
     Returns one entry per net: its TrainedNet, or the TrainingError that
     ``train`` would have raised for it.  A diverging net leaves the other
@@ -363,39 +414,21 @@ def train_many(
     designs = iter(designs)
     prepared = ((_checked(x, n, config), p) for p, x in zip(pairs, designs))
     results = []
-    sizes = None
-    for head in prepared:
-        if sizes is None:
-            d = head[0].shape[1]
-            sizes = [d, *(config.hidden_sizes or default_hidden_sizes(d)), 1]
-            group_size = max(1, _GROUP_BYTES // (_STACK_DTYPE.itemsize * n * sum(sizes)))
-        g = min(group_size, k - len(results))
-        # The stack precedes the statistics' n x d temporaries: measured
-        # 3 MB less peak RSS for a 4000 x 200 design than the reverse.
-        stack = np.empty((g, n, d), _STACK_DTYPE)
-        scalers = []
-        for slot, (x, p) in zip(range(g), chain([head], prepared)):
-            if x.shape[1] != d:
-                raise InvalidDataError(
-                    f"design {len(results) + slot} has {x.shape[1]} "
-                    f"columns, expected {d}"
-                )
-            mean, scale = _scaler(x, p)
-            # Divided in float64, rounded to float32 once on the way in.
-            np.divide(x - mean, scale, out=stack[slot])
-            scalers.append((mean, scale))
-        if len(scalers) < g:
-            break
-        group = slice(len(results), len(results) + g)
-        fits = _fit_stack(stack, ys[group], seeds[group], sizes, config)
-        for fit, (mean, scale), (y_mean, y_scale) in zip(fits, scalers, y_scalers[group]):
-            if isinstance(fit, TrainingError):
-                results.append(fit)
-                continue
-            w, b, trace = fit
-            results.append(
-                TrainedNet(w, b, config.activation, trace, mean, scale, y_mean, y_scale)
-            )
+    head = next(prepared, None)
+    if head is not None:
+        d = head[0].shape[1]
+        sizes = [d, *(config.hidden_sizes or default_hidden_sizes(d)), 1]
+        net_bytes = _STACK_DTYPE.itemsize * n * sum(sizes)
+        # A thread for each of the fewest groups the budget allows; the
+        # nets are then cut into near-equal groups, one per thread per
+        # round, since small groups spend their time on lock hand-offs.
+        fewest = len(_parallel._chunks(k, 1, net_bytes, _GROUP_BYTES))
+        threads = _parallel._thread_count(fewest, _GROUP_BYTES)
+        groups = _parallel._chunks(k, threads, net_bytes, _GROUP_BYTES)
+        prepared = chain([head], prepared)
+        for first in range(0, len(groups), threads):
+            round_groups = groups[first : first + threads]
+            results += _fit_round(prepared, round_groups, ys, y_scalers, seeds, sizes, config)
     if len(results) != k:
         raise ConfigurationError(f"expected {k} designs, got fewer")
     if next(designs, None) is not None:

@@ -18,14 +18,14 @@ from itertools import chain
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import _chunks, parallel_map
 from .dataset import Dataset
 from .errors import (
     ConfigurationError, InvalidDataError, MirrorSelectError, NumericalError,
     _check_choice, _check_integer, _check_number, _check_type, _set_fields,
 )
 from .kernelmeasure import KernelSpec
-from .neuralnet import _GROUP_BYTES, NetConfig
+from .neuralnet import NetConfig
 from .rng import RngSeed
 
 # ``run_sngm`` and ``run_ingm`` are not called here; they stay names of
@@ -295,17 +295,6 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _chunks(reps: int, threads: int, rep_bytes: int) -> list[range]:
-    """Rep indices cut into consecutive chunks of near-equal size, one
-    per worker per round, with as few rounds as keep each chunk's
-    ``rep_bytes`` per rep within the training group budget.  Chunk sizes
-    therefore do not grow with ``reps``."""
-    cap = max(1, _GROUP_BYTES // rep_bytes)
-    count = threads * -(-reps // (threads * cap))
-    size = -(-reps // count)
-    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
-
-
 def _run_chunk(
     reps: range,
     design: DesignSpec,
@@ -374,9 +363,9 @@ def run_benchmark(
     chunk's designs fit the training memory budget), and each chunk's
     reps go through the selection pipeline together, their nets fitted
     stacked; ``parallel_map`` spreads the chunks over ``threads`` worker
-    processes, each of which runs its mirror searches one after another
-    instead of on a thread pool.  Each rep's record equals that of selecting on its data
-    alone, so results do not depend on ``threads``, on the chunking or
+    processes, each of which runs its mirror searches and its training
+    inline instead of on a thread pool.  Each rep's record equals that of
+    selecting on its data alone, so results do not depend on ``threads``, on the chunking or
     on execution order; only ``runtime_ms`` does.  A rep that fails is
     listed in ``failures`` and leaves the other reps unchanged.  For the
     screening methods, ``screen_opts=None`` enables screening with

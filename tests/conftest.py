@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mirrorselect import _parallel
+
 
 @pytest.fixture
 def gen():
@@ -62,3 +64,19 @@ def _batched_center(k):
         - k.mean(axis=2, keepdims=True)
         + k.mean(axis=(1, 2), keepdims=True)
     )
+
+
+def pool_of(monkeypatch, threads):
+    """Force every thread map, and ``train_many``'s thread count, to
+    ``threads``; the returned list records the size of each thread pool
+    started."""
+    pools = []
+
+    class RecordingPool(_parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(_parallel, "_thread_count", lambda count, item_bytes: threads)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
+    return pools

@@ -24,7 +24,7 @@ from mirrorselect import (
     sample_response,
 )
 from mirrorselect import _parallel, mirror, selection
-from conftest import dependence_on_grid
+from conftest import dependence_on_grid, pool_of
 
 LINEAR = KernelSpec("linear")
 EPS = np.finfo(float).eps
@@ -233,21 +233,6 @@ def test_failing_search_names_its_feature(gen, monkeypatch):
     assert all(z.ndim == 1 and z.flags.c_contiguous for z in searched)
 
 
-def _pool_of(monkeypatch, threads):
-    """Force every thread map to ``threads`` threads; the returned list
-    records the size of each thread pool started."""
-    pools = []
-
-    class RecordingPool(_parallel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(_parallel, "_thread_count", lambda count, item_bytes: threads)
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
-    return pools
-
-
 @pytest.mark.parametrize(
     "spec",
     [KernelSpec("gaussian"), KernelSpec("polynomial", degree=3)],
@@ -260,7 +245,7 @@ def test_concurrent_searches_give_bitwise_the_inline_mirrors(gen, monkeypatch, s
     sys.setswitchinterval(1e-5)  # switch threads often, within an evaluation
     try:
         for threads in (1, ds.p):
-            pools = _pool_of(monkeypatch, threads)
+            pools = pool_of(monkeypatch, threads)
             runs.append(make_all_mirrors(ds, spec, RngSeed(4)))
             assert pools == ([] if threads == 1 else [threads])
     finally:
@@ -274,7 +259,7 @@ def test_concurrent_searches_give_bitwise_the_inline_mirrors(gen, monkeypatch, s
 @pytest.mark.parametrize("threads", [1, 2, 5])
 def test_lowest_failing_feature_is_named_at_every_pool_size(gen, monkeypatch, threads):
     ds = _dataset(gen, n=20, p=5)
-    _pool_of(monkeypatch, threads)
+    pool_of(monkeypatch, threads)
 
     def two_fail(x, z, w, spec):
         j = _feature_of(ds, x)

@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,6 +20,7 @@ from mirrorselect import (
     train_many,
 )
 from mirrorselect import neuralnet
+from conftest import pool_of
 
 
 def _random_net(gen, widths, activation="tanh", zero_bias=False):
@@ -281,21 +285,24 @@ def test_train_many_equals_train(gen, activation, k):
 
 
 def test_train_many_across_groups(gen, monkeypatch):
-    # a budget of two nets per group spreads seven nets over four groups
+    # a budget of two nets per group spreads seven nets over four groups:
+    # in sequence on one thread, in two rounds of two groups on two
     designs, y, seeds, pairs = _stack_problem(gen, 7)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32,
                     learning_rate=1e-2)
+    alone = _fit_alone(designs, y, cfg, seeds, pairs)
     monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
-    pulled = []
-    pulled_per_group = []
     fit_stack = neuralnet._fit_stack
-
+    pulled = []
+    groups = []
     target_row_strides = []
 
     def recording_fit_stack(xs, ys, *args):
-        pulled_per_group.append(len(pulled))
+        at_start = len(pulled)
         target_row_strides.append(ys.strides[0])
-        return fit_stack(xs, ys, *args)
+        fits = fit_stack(xs, ys, *args)
+        groups.append((at_start, len(pulled), len(xs)))
+        return fits
 
     def lazily():
         for x in designs:
@@ -303,12 +310,102 @@ def test_train_many_across_groups(gen, monkeypatch):
             yield x
 
     monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
-    stacked = train_many(lazily(), y, cfg, seeds, pairs)
-    # each group is trained before the next group's designs are built
-    assert pulled_per_group == [2, 4, 6, 7]
-    # shared targets reach every group as a broadcast view, not copies
-    assert target_row_strides == [0, 0, 0, 0]
-    _assert_identical(stacked, _fit_alone(designs, y, cfg, seeds, pairs))
+    # (designs drawn when a group's fit starts, when it ends, its nets): a
+    # round's designs are all drawn before its groups train, and the next
+    # round's only after they have trained
+    for threads, expected in [
+        (1, [(2, 2, 2), (4, 4, 2), (6, 6, 2), (7, 7, 1)]),
+        (2, [(4, 4, 2), (4, 4, 2), (7, 7, 1), (7, 7, 2)]),
+    ]:
+        pools = pool_of(monkeypatch, threads)
+        pulled.clear()
+        groups.clear()
+        target_row_strides.clear()
+        stacked = train_many(lazily(), y, cfg, seeds, pairs)
+        assert sorted(groups) == expected
+        assert pools == ([] if threads == 1 else [2, 2])
+        # shared targets reach every group as a broadcast view, not copies
+        assert target_row_strides == [0, 0, 0, 0]
+        _assert_identical(stacked, alone)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 7])
+def test_concurrent_groups_give_bitwise_the_lone_fits(gen, monkeypatch, threads):
+    # seven nets on one, two or seven threads: one group per thread, all
+    # in one round, each net bitwise its lone fit
+    designs, y, seeds, pairs = _stack_problem(gen, 7)
+    cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32, learning_rate=1e-2)
+    alone = _fit_alone(designs, y, cfg, seeds, pairs)
+    pools = pool_of(monkeypatch, threads)
+    on_main = []
+    fit_stack = neuralnet._fit_stack
+
+    def recording_fit_stack(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return fit_stack(*args)
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, within a step
+    try:
+        stacked = train_many(iter(designs), y, cfg, seeds, pairs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == ([] if threads == 1 else [threads])
+    assert on_main == [threads == 1] * threads
+    _assert_identical(stacked, alone)
+
+
+def test_divergence_stays_in_its_concurrent_group(gen, monkeypatch):
+    # two groups of two on two threads: one net of the first group
+    # diverges, and every other net, the second group's included, is
+    # bitwise its lone fit
+    n, d = 60, 4
+    x = gen.standard_normal((n, d))
+    y = gen.standard_normal(n)
+    cfg = NetConfig(hidden_sizes=(8,), activation="relu", epochs=30,
+                    batch_size=16, learning_rate=0.9)
+    candidates = [RngSeed(5, i) for i in range(12)]
+    lone = _fit_alone([x] * 12, y, cfg, candidates, [None] * 12)
+    failed = [s for s, r in zip(candidates, lone) if isinstance(r, TrainingError)]
+    fitted = [s for s, r in zip(candidates, lone) if not isinstance(r, TrainingError)]
+    seeds = [failed[0], *fitted[:3]]
+    pool_of(monkeypatch, 2)
+    groups = []
+    fit_stack = neuralnet._fit_stack
+
+    def recording_fit_stack(*args):
+        fits = fit_stack(*args)
+        groups.append([isinstance(fit, TrainingError) for fit in fits])
+        return fits
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
+    stacked = train_many([x] * 4, y, cfg, seeds)
+    assert sorted(groups) == [[False, False], [True, False]]
+    assert isinstance(stacked[0], TrainingError)
+    _assert_identical(stacked, _fit_alone([x] * 4, y, cfg, seeds, [None] * 4))
+
+
+def test_minibatch_steps_add_little_to_the_peak(gen):
+    # each step's activations and gradients are freed before the next
+    # step allocates its own, so the epochs keep the traced peak within a
+    # tenth of a fit with only the full-data pass (20 nets of the
+    # ingm_linear shape: about 1.45 MB against 1.40 MB)
+    g, n, d = 20, 300, 51
+    xs = gen.standard_normal((g, n, d)).astype(np.float32)
+    ys = np.broadcast_to(gen.standard_normal(n).astype(np.float32), (g, n))
+    seeds = [RngSeed(3, i) for i in range(g)]
+    peaks = []
+    for epochs in (0, 1, 3):
+        cfg = NetConfig(hidden_sizes=(32, 16), epochs=epochs, batch_size=64,
+                        learning_rate=5e-3)
+        tracemalloc.start()
+        try:
+            neuralnet._fit_stack(xs, ys, seeds, [d, 32, 16, 1], cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) <= 1.10 * peaks[0]
 
 
 def test_train_many_isolates_divergence(gen):

@@ -32,9 +32,9 @@ from mirrorselect import (
 )
 from mirrorselect import neuralnet, selection, simulate
 from mirrorselect.kernelmeasure import SearchConfig
-from mirrorselect.neuralnet import _GROUP_BYTES
+from mirrorselect._parallel import _GROUP_BYTES, _chunks
 from mirrorselect.selection import adaptive_threshold, screen
-from mirrorselect.simulate import LINKS, _chunks, _mean_se
+from mirrorselect.simulate import LINKS, _mean_se
 
 
 class TestPrecisionMatrix:
@@ -795,6 +795,42 @@ def test_thread_count_is_capped_by_cpus_items_and_memory(monkeypatch):
     assert _parallel._thread_count(20, budget + 1) == 1
     monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
     assert _parallel._thread_count(20, 8) == 1
+
+
+@pytest.mark.parametrize(
+    "cpus, k, groups, pools",
+    [(2, 50, [25, 25], [2]), (1, 50, [25, 25], []), (2, 1, [1], [])],
+)
+def test_training_groups_follow_the_chunking_rule(monkeypatch, cpus, k, groups, pools):
+    # nets of the ingm_linear shape (n = 300, d = 51, hidden (32, 16)):
+    # the budget holds 33, so 50 nets make two balanced groups of 25, one
+    # round of two on two CPUs and two in sequence on one; one net runs
+    # inline
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal((300, 51))
+    cfg = NetConfig(hidden_sizes=(32, 16), epochs=0)
+    assert _GROUP_BYTES // (4 * 300 * (51 + 32 + 16 + 1)) == 33
+    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+    started = []
+    fitted = []
+
+    class RecordingPool(_parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    fit_stack = neuralnet._fit_stack
+
+    def recording_fit_stack(xs, *args):
+        fitted.append(len(xs))
+        return fit_stack(xs, *args)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
+    nets = train_many([x] * k, x[:, 0], cfg, [RngSeed(1, i) for i in range(k)])
+    assert len(nets) == k
+    assert fitted == groups
+    assert started == pools
 
 
 def test_thread_maps_run_inline_in_parallel_map_workers(monkeypatch):
