@@ -1,12 +1,14 @@
 """Where mirrorselect runs work in parallel: a process map for the
-benchmark's repetitions, and a thread map for the per-feature c-searches
-and for the groups of nets that ``train_many`` fits.
+benchmark's repetitions and for the groups of nets that ``train_many``
+fits, and a thread map for the per-feature c-searches.
 
 Work units carry their own seeds and write nothing shared, so the result
 is identical whatever the worker count; parallelism only changes
-wall-clock time.  A process of ``parallel_map``'s pool runs its thread
-maps inline, so the benchmark's worker count stays the one control of
-its parallelism.
+wall-clock time.  Training runs in processes because its many small
+numpy calls per minibatch would hand the interpreter lock back and
+forth between threads.  A process of ``parallel_map``'s pool runs its
+thread maps and its training inline, so the benchmark's worker count
+stays the one control of its parallelism.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def _cpus() -> int:
 
 
 def _thread_count(count: int, item_bytes: int) -> int:
-    """Threads for ``count`` items of ``item_bytes`` each: the smallest of
-    the usable CPUs, the item count and the items ``_THREAD_BYTES``
-    holds, at least 1; always 1 in a process of ``parallel_map``'s pool."""
+    """Threads, or ``train_many``'s worker processes, for ``count`` items
+    of ``item_bytes`` each: the smallest of the usable CPUs, the item
+    count and the items ``_THREAD_BYTES`` holds, at least 1; always 1 in
+    a process of ``parallel_map``'s pool."""
     if _IN_WORKER:
         return 1
     return max(1, min(_cpus(), count, _THREAD_BYTES // item_bytes))

@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_threads,
         default=1,
         help="worker processes for the repetitions, or 'auto'; a worker "
-        "runs its mirror searches and its training inline, on no thread pool",
+        "runs its mirror searches and its training inline, in no pool of its own",
     )
     _add_design(p_bench)
     _add_method(p_bench)

@@ -210,25 +210,32 @@ def _forward(a, weights, biases, act) -> list[np.ndarray]:
     return acts
 
 
-def _sgd_step(xb, yb, weights, biases, act, dact, lr) -> np.ndarray:
+def _sgd_step(xb, yb, weights, biases, act, dact, lr: float) -> np.ndarray:
     """One minibatch step of every net in the stack, updating weights and
     biases in place.  Returns each net's summed squared residual before
     the step.  The step's activations and gradients are freed on return,
     so no step holds them alongside the next one's."""
+    g, b, _ = xb.shape
     acts = _forward(xb, weights, biases, act)
-    # d_s: loss gradient at the pre-activations of layer t + 1
+    # d_s: the loss gradient at the pre-activations of layer t + 1, times
+    # the learning rate, so each update is one subtraction
     d_s = acts.pop()
     d_s[:, :, 0] -= yb
     losses = np.einsum("gbo,gbo->g", d_s, d_s, dtype=np.float64)
-    d_s *= 2.0 / xb.shape[1]
+    d_s *= _STACK_DTYPE.type(2.0 * lr / b)
+    # Bias gradients as one batched product: a sum over axis 1 runs g * b
+    # inner loops of a few elements each.
+    ones = np.ones((g, 1, b), _STACK_DTYPE)
     for t in range(len(weights) - 1, -1, -1):
         grad_w = np.matmul(acts[t].transpose(0, 2, 1), d_s)
-        grad_b = d_s.sum(axis=1, keepdims=True)
+        grad_b = np.matmul(ones, d_s)
         if t > 0:
-            d_s = np.matmul(d_s, weights[t].transpose(0, 2, 1))
+            # Back through weights[t] before its update.  The output layer
+            # has one column, so its product is a broadcast, bitwise the
+            # matmul.
+            w_t = weights[t].transpose(0, 2, 1)
+            d_s = d_s * w_t if t == len(weights) - 1 else np.matmul(d_s, w_t)
             d_s *= dact(acts[t])
-        grad_w *= lr
-        grad_b *= lr
         weights[t] -= grad_w
         biases[t] -= grad_b
     return losses
@@ -257,7 +264,6 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
     """
     g, n, _ = xs.shape
     act, dact = ACTIVATIONS[config.activation]
-    lr = _STACK_DTYPE.type(config.learning_rate)
     gens = [seed.generator() for seed in seeds]
     weights = [np.empty((g, a, b), _STACK_DTYPE) for a, b in zip(sizes[:-1], sizes[1:])]
     for i, gen in enumerate(gens):
@@ -278,9 +284,15 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
             losses = np.zeros(len(nets))
             perm = np.stack([gen.permutation(n) for gen in gens])
             rows = np.arange(len(nets))[:, None]
+            # Minibatches gathered from the flat rows by slot * n + row.
+            flat = perm + rows * n
+            x_rows = xs.reshape(-1, xs.shape[2])
             for start in range(0, n, config.batch_size):
-                idx = perm[:, start : start + config.batch_size]
-                losses += _sgd_step(xs[rows, idx], ys[rows, idx], weights, biases, act, dact, lr)
+                batch = slice(start, start + config.batch_size)
+                losses += _sgd_step(
+                    np.take(x_rows, flat[:, batch], axis=0), ys[rows, perm[:, batch]],
+                    weights, biases, act, dact, config.learning_rate,
+                )
         losses /= n
         for net, loss in zip(nets, losses):
             traces[net].append(float(loss))
@@ -312,14 +324,20 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
     return outcomes
 
 
+def _fit_group(job) -> list:
+    """``_fit_stack`` on one group: (designs, targets, seeds, sizes,
+    config).  Shared targets arrive as one row and are broadcast here."""
+    xs, ys, seeds, sizes, config = job
+    return _fit_stack(xs, np.broadcast_to(ys, (len(xs), ys.shape[1])), seeds, sizes, config)
+
+
 def _fit_round(prepared, groups, ys, y_scalers, seeds, sizes, config: NetConfig) -> list:
     """Stack each group's designs, drawn in order from ``prepared``, then
-    fit the groups concurrently on the thread map.  Returns the round's
-    nets in order, as ``train_many`` does; the stacks are freed on
-    return, before the next round draws its designs."""
+    fit the groups at once, one per worker process of ``parallel_map``.
+    Returns the round's nets in order, as ``train_many`` does; the stacks
+    are freed on return, before the next round draws its designs."""
     n, d = ys.shape[1], sizes[0]
-    spans = [slice(group.start, group.stop) for group in groups]
-    stacks = []
+    jobs = []
     scalers = []
     for group in groups:
         # The stack precedes the statistics' n x d temporaries: measured
@@ -337,12 +355,10 @@ def _fit_round(prepared, groups, ys, y_scalers, seeds, sizes, config: NetConfig)
             scalers.append((mean, scale))
         if len(scalers) - drawn < len(group):
             raise ConfigurationError(f"expected {len(seeds)} designs, got fewer")
-        stacks.append(stack)
-    fits = _parallel.thread_map(
-        lambda job: _fit_stack(job[0], ys[job[1]], seeds[job[1]], sizes, config),
-        zip(stacks, spans),
-        _GROUP_BYTES,
-    )
+        span = slice(group.start, group.stop)
+        targets = ys if len(ys) == 1 else ys[span]
+        jobs.append((stack, targets, seeds[span], sizes, config))
+    fits = _parallel.parallel_map(_fit_group, jobs, len(jobs))
     y_scalers = y_scalers[groups[0].start : groups[-1].stop]
     nets = []
     for fit, (mean, scale), (y_mean, y_scale) in zip(chain(*fits), scalers, y_scalers):
@@ -374,11 +390,12 @@ def train_many(
 
     The nets are trained stacked, in float32, in near-equal groups whose
     designs and full-data activations fit a fixed memory budget.  Each
-    round fits one group per thread of the thread map, concurrently, and
-    uses as few rounds as the budget allows; in a process of the
-    benchmark's pool, on one usable CPU or for one net the groups run
-    inline.  ``designs`` is consumed one round at a time, so a generator
-    keeps only the current round's designs in memory.
+    round fits one group per worker process of ``parallel_map``, at
+    once, and uses as few rounds as the budget allows; in a process of
+    the benchmark's pool, on one usable CPU or for one net the groups run
+    inline.  A group's designs and targets are pickled to its worker and
+    its nets back, bitwise.  ``designs`` is consumed one round at a time,
+    so a generator keeps only the current round's designs in memory.
 
     Returns one entry per net: its TrainedNet, or the TrainingError that
     ``train`` would have raised for it.  A diverging net leaves the other
@@ -406,8 +423,9 @@ def train_many(
     y_mean = y.mean(axis=1, keepdims=True)
     y_scale = y.std(axis=1, keepdims=True)
     y_scale[y_scale < _SCALE_FLOOR] = 1.0
-    # Shared targets stay one row, broadcast to every net without a copy.
-    ys = np.broadcast_to(((y - y_mean) / y_scale).astype(_STACK_DTYPE), (k, n))
+    # Shared targets stay one row, broadcast to a group's nets where it
+    # is fitted.
+    ys = ((y - y_mean) / y_scale).astype(_STACK_DTYPE)
     y_scalers = np.broadcast_to(np.hstack([y_mean, y_scale]), (k, 2)).tolist()
 
     # Pairs lead the zip, so no design past the k-th is drawn early.
@@ -419,15 +437,15 @@ def train_many(
         d = head[0].shape[1]
         sizes = [d, *(config.hidden_sizes or default_hidden_sizes(d)), 1]
         net_bytes = _STACK_DTYPE.itemsize * n * sum(sizes)
-        # A thread for each of the fewest groups the budget allows; the
-        # nets are then cut into near-equal groups, one per thread per
-        # round, since small groups spend their time on lock hand-offs.
+        # A worker for each of the fewest groups the budget allows; the
+        # nets are then cut into near-equal groups, one per worker per
+        # round, since a small group spends its time on per-call overhead.
         fewest = len(_parallel._chunks(k, 1, net_bytes, _GROUP_BYTES))
-        threads = _parallel._thread_count(fewest, _GROUP_BYTES)
-        groups = _parallel._chunks(k, threads, net_bytes, _GROUP_BYTES)
+        workers = _parallel._thread_count(fewest, _GROUP_BYTES)
+        groups = _parallel._chunks(k, workers, net_bytes, _GROUP_BYTES)
         prepared = chain([head], prepared)
-        for first in range(0, len(groups), threads):
-            round_groups = groups[first : first + threads]
+        for first in range(0, len(groups), workers):
+            round_groups = groups[first : first + workers]
             results += _fit_round(prepared, round_groups, ys, y_scalers, seeds, sizes, config)
     if len(results) != k:
         raise ConfigurationError(f"expected {k} designs, got fewer")

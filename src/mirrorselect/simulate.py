@@ -364,9 +364,9 @@ def run_benchmark(
     reps go through the selection pipeline together, their nets fitted
     stacked; ``parallel_map`` spreads the chunks over ``threads`` worker
     processes, each of which runs its mirror searches and its training
-    inline instead of on a thread pool.  Each rep's record equals that of
-    selecting on its data alone, so results do not depend on ``threads``, on the chunking or
-    on execution order; only ``runtime_ms`` does.  A rep that fails is
+    inline instead of in a pool of its own.  Each rep's record equals
+    that of selecting on its data alone, so results do not depend on
+    ``threads``, on the chunking or on execution order; only ``runtime_ms`` does.  A rep that fails is
     listed in ``failures`` and leaves the other reps unchanged.  For the
     screening methods, ``screen_opts=None`` enables screening with
     defaults; the other methods take no ``screen_opts``.

@@ -67,9 +67,9 @@ def _batched_center(k):
 
 
 def pool_of(monkeypatch, threads):
-    """Force every thread map, and ``train_many``'s thread count, to
+    """Force every thread map, and ``train_many``'s worker count, to
     ``threads``; the returned list records the size of each thread pool
-    started."""
+    and each process pool started."""
     pools = []
 
     class RecordingPool(_parallel.ThreadPoolExecutor):
@@ -77,6 +77,12 @@ def pool_of(monkeypatch, threads):
             pools.append(max_workers)
             super().__init__(max_workers)
 
+    class RecordingProcessPool(_parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
     monkeypatch.setattr(_parallel, "_thread_count", lambda count, item_bytes: threads)
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingProcessPool)
     return pools

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -320,6 +321,31 @@ def test_error_exit_codes():
     assert NumericalError("x").exit_code == 4
     assert TrainingError("x").exit_code == 5
     assert MirrorSelectError("x").exit_code == 1
+
+
+def _error_classes(base=MirrorSelectError):
+    return [base, *(c for sub in base.__subclasses__() for c in _error_classes(sub))]
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # a training worker process sends its nets' errors back pickled
+    classes = _error_classes()
+    assert {c.__name__ for c in classes} >= {
+        "MirrorSelectError", "ConfigurationError", "InvalidDataError",
+        "NumericalError", "DegeneratePerturbationError", "TrainingError",
+    }
+    for cls in classes:
+        back = pickle.loads(pickle.dumps(cls("feature 3 failed")))
+        assert type(back) is cls
+        assert str(back) == "feature 3 failed"
+        assert back.exit_code == cls.exit_code
+    err = TrainingError("loss became non-finite at epoch 2", [0.5, 1e30, math.nan], 7)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back.trace[-1]) is float
+    assert np.array_equal(back.trace, err.trace, equal_nan=True)
+    assert math.isnan(back.trace[-1])
+    assert back.feature_index == 7
+    assert pickle.loads(pickle.dumps(TrainingError("x"))).trace is None
 
 
 def _simulate(tmp_path, name, seed="5", n="80", p="5", k="1"):

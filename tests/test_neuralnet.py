@@ -1,5 +1,5 @@
-import sys
-import threading
+import multiprocessing
+import os
 import tracemalloc
 from itertools import product
 
@@ -19,7 +19,7 @@ from mirrorselect import (
     train,
     train_many,
 )
-from mirrorselect import neuralnet
+from mirrorselect import _parallel, neuralnet
 from conftest import pool_of
 
 
@@ -195,6 +195,7 @@ def test_one_full_data_forward_per_fit(gen, monkeypatch):
     designs, y, seeds, pairs = _stack_problem(gen, 7)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=5, batch_size=32, learning_rate=1e-2)
     monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
+    pool_of(monkeypatch, 1)  # the groups fit in this process, where the spies count
     calls = {"fit": 0, "full": 0}
     fit_stack = neuralnet._fit_stack
     forward = neuralnet._forward
@@ -265,6 +266,23 @@ def _two_nets_per_group(n=70, sizes=(5, 6, 3, 1)):
     return 2 * neuralnet._STACK_DTYPE.itemsize * n * sum(sizes)
 
 
+def _record_rounds(monkeypatch, drawn=lambda: 0):
+    """Record, in this process, each round of groups that ``train_many``
+    hands to the process map: (``drawn()`` when the round starts, when it
+    ends, the groups' jobs, the groups' fits)."""
+    rounds = []
+    parallel_map = _parallel.parallel_map
+
+    def recording_map(fn, jobs, workers):
+        start = drawn()
+        fits = parallel_map(fn, jobs, workers)
+        rounds.append((start, drawn(), jobs, fits))
+        return fits
+
+    monkeypatch.setattr(_parallel, "parallel_map", recording_map)
+    return rounds
+
+
 def _stack_problem(gen, k, n=70, d=5):
     designs = [gen.standard_normal((n, d)) * gen.uniform(0.5, 3.0, d) for _ in range(k)]
     y = designs[0][:, 0] - 0.5 * designs[0][:, 2] + gen.standard_normal(n)
@@ -286,23 +304,23 @@ def test_train_many_equals_train(gen, activation, k):
 
 def test_train_many_across_groups(gen, monkeypatch):
     # a budget of two nets per group spreads seven nets over four groups:
-    # in sequence on one thread, in two rounds of two groups on two
+    # in sequence on one worker, in two rounds of two groups on two
+    # worker processes
     designs, y, seeds, pairs = _stack_problem(gen, 7)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32,
                     learning_rate=1e-2)
     alone = _fit_alone(designs, y, cfg, seeds, pairs)
     monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
-    fit_stack = neuralnet._fit_stack
     pulled = []
-    groups = []
-    target_row_strides = []
+    rounds = _record_rounds(monkeypatch, lambda: len(pulled))
+    # each fit, in this process or a forked worker, sends its targets' row
+    # stride back on a pipe this process made
+    strides = multiprocessing.get_context("fork").SimpleQueue()
+    fit_stack = neuralnet._fit_stack
 
     def recording_fit_stack(xs, ys, *args):
-        at_start = len(pulled)
-        target_row_strides.append(ys.strides[0])
-        fits = fit_stack(xs, ys, *args)
-        groups.append((at_start, len(pulled), len(xs)))
-        return fits
+        strides.put(ys.strides[0])
+        return fit_stack(xs, ys, *args)
 
     def lazily():
         for x in designs:
@@ -310,56 +328,60 @@ def test_train_many_across_groups(gen, monkeypatch):
             yield x
 
     monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
-    # (designs drawn when a group's fit starts, when it ends, its nets): a
-    # round's designs are all drawn before its groups train, and the next
+    # (designs drawn when a group's round starts, when it ends, its nets):
+    # a round's designs are all drawn before its groups train, and the next
     # round's only after they have trained
     for threads, expected in [
         (1, [(2, 2, 2), (4, 4, 2), (6, 6, 2), (7, 7, 1)]),
-        (2, [(4, 4, 2), (4, 4, 2), (7, 7, 1), (7, 7, 2)]),
+        (2, [(4, 4, 2), (4, 4, 2), (7, 7, 2), (7, 7, 1)]),
     ]:
         pools = pool_of(monkeypatch, threads)
         pulled.clear()
-        groups.clear()
-        target_row_strides.clear()
+        rounds.clear()
         stacked = train_many(lazily(), y, cfg, seeds, pairs)
-        assert sorted(groups) == expected
+        jobs = [(start, end, job) for start, end, round_jobs, _ in rounds for job in round_jobs]
+        assert [(start, end, len(job[0])) for start, end, job in jobs] == expected
         assert pools == ([] if threads == 1 else [2, 2])
-        # shared targets reach every group as a broadcast view, not copies
-        assert target_row_strides == [0, 0, 0, 0]
+        # shared targets go to each group as one row and reach its fit as
+        # a broadcast view, not copies
+        assert [job[1].shape for _, _, job in jobs] == [(1, 70)] * 4
+        seen = []
+        while not strides.empty():
+            seen.append(strides.get())
+        assert seen == [0, 0, 0, 0]
         _assert_identical(stacked, alone)
+    strides.close()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 7])
 def test_concurrent_groups_give_bitwise_the_lone_fits(gen, monkeypatch, threads):
-    # seven nets on one, two or seven threads: one group per thread, all
-    # in one round, each net bitwise its lone fit
+    # seven nets on one, two or seven workers: one group per worker, all
+    # in one round, each net bitwise its lone fit; a pool's groups are
+    # fitted in its worker processes, none in this one
     designs, y, seeds, pairs = _stack_problem(gen, 7)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32, learning_rate=1e-2)
     alone = _fit_alone(designs, y, cfg, seeds, pairs)
     pools = pool_of(monkeypatch, threads)
-    on_main = []
+    rounds = _record_rounds(monkeypatch)
+    fitted_here = []
     fit_stack = neuralnet._fit_stack
 
     def recording_fit_stack(*args):
-        on_main.append(threading.current_thread() is threading.main_thread())
+        fitted_here.append(os.getpid())
         return fit_stack(*args)
 
     monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, within a step
-    try:
-        stacked = train_many(iter(designs), y, cfg, seeds, pairs)
-    finally:
-        sys.setswitchinterval(interval)
+    stacked = train_many(iter(designs), y, cfg, seeds, pairs)
     assert pools == ([] if threads == 1 else [threads])
-    assert on_main == [threads == 1] * threads
+    assert [len(jobs) for _, _, jobs, _ in rounds] == [threads]
+    assert fitted_here == ([os.getpid()] if threads == 1 else [])
     _assert_identical(stacked, alone)
 
 
 def test_divergence_stays_in_its_concurrent_group(gen, monkeypatch):
-    # two groups of two on two threads: one net of the first group
-    # diverges, and every other net, the second group's included, is
-    # bitwise its lone fit
+    # two groups of two on two worker processes: one net of the first
+    # group diverges, its TrainingError comes back pickled, and every
+    # other net, the second group's included, is bitwise its lone fit
     n, d = 60, 4
     x = gen.standard_normal((n, d))
     y = gen.standard_normal(n)
@@ -370,18 +392,15 @@ def test_divergence_stays_in_its_concurrent_group(gen, monkeypatch):
     failed = [s for s, r in zip(candidates, lone) if isinstance(r, TrainingError)]
     fitted = [s for s, r in zip(candidates, lone) if not isinstance(r, TrainingError)]
     seeds = [failed[0], *fitted[:3]]
-    pool_of(monkeypatch, 2)
-    groups = []
-    fit_stack = neuralnet._fit_stack
-
-    def recording_fit_stack(*args):
-        fits = fit_stack(*args)
-        groups.append([isinstance(fit, TrainingError) for fit in fits])
-        return fits
-
-    monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
+    pools = pool_of(monkeypatch, 2)
+    rounds = _record_rounds(monkeypatch)
     stacked = train_many([x] * 4, y, cfg, seeds)
-    assert sorted(groups) == [[False, False], [True, False]]
+    assert pools == [2]
+    groups = [
+        [isinstance(fit, TrainingError) for fit in fits]
+        for _, _, _, round_fits in rounds for fits in round_fits
+    ]
+    assert groups == [[True, False], [False, False]]
     assert isinstance(stacked[0], TrainingError)
     _assert_identical(stacked, _fit_alone([x] * 4, y, cfg, seeds, [None] * 4))
 
@@ -486,6 +505,13 @@ def test_stacks_stay_float32_and_equal_lone_runs(gen, monkeypatch, activation):
     cfg = NetConfig(hidden_sizes=(6, 3), activation=activation, epochs=4,
                     batch_size=32, learning_rate=1e-2)
     monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
+    alone = _fit_alone(designs, y, cfg, seeds, pairs)
+    # four groups in two rounds of two worker processes
+    pools = pool_of(monkeypatch, 2)
+    _assert_identical(train_many(designs, y, cfg, seeds, pairs), alone)
+    assert pools == [2, 2]
+    # the dtype spies record in this process, so the groups fit here
+    pool_of(monkeypatch, 1)
     seen = set()
     fit_stack = neuralnet._fit_stack
     forward = neuralnet._forward
@@ -504,7 +530,75 @@ def test_stacks_stay_float32_and_equal_lone_runs(gen, monkeypatch, activation):
     stacked = train_many(designs, y, cfg, seeds, pairs)
     f32 = np.dtype(np.float32)
     assert seen == {("xs", f32), ("ys", f32), ("forward", f32)}
-    _assert_identical(stacked, _fit_alone(designs, y, cfg, seeds, pairs))
+    _assert_identical(stacked, alone)
+
+
+def _reference_step(xb, yb, weights, biases, activation, lr):
+    """One SGD step of one net in float64, by the chain rule through the
+    pre-activations, on the batch's mean squared residual.  Returns the
+    new weights and biases and the summed squared residual before it."""
+    f, df = {
+        "tanh": (np.tanh, lambda s: 1.0 - np.tanh(s) ** 2),
+        "relu": (lambda s: np.maximum(s, 0.0), lambda s: (s > 0).astype(float)),
+        "identity": (lambda s: s, np.ones_like),
+    }[activation]
+    ins, pres = [], []
+    a = xb
+    for t, (w, b) in enumerate(zip(weights, biases)):
+        ins.append(a)
+        pres.append(a @ w + b)
+        a = pres[-1] if t == len(weights) - 1 else f(pres[-1])
+    residual = a[:, 0] - yb
+    delta = 2.0 * residual[:, None] / len(yb)
+    new_w, new_b = list(weights), list(biases)
+    for t in range(len(weights) - 1, -1, -1):
+        new_w[t] = weights[t] - lr * ins[t].T @ delta
+        new_b[t] = biases[t] - lr * delta.sum(axis=0)
+        if t > 0:
+            delta = (delta @ weights[t].T) * df(pres[t - 1])
+    return new_w, new_b, residual @ residual
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_sgd_step_matches_a_float64_reference(gen, activation):
+    # three nets stacked, one epoch of 70 rows in batches of 32, 32 and a
+    # ragged 6: each float32 step against the float64 reference step from
+    # the same start.  Weights lie in [-1, 1] and each step moves some
+    # entry by at least 0.01; the float32 results stay within 8 float32
+    # epsilons (9.5e-7) of the reference (measured: weights within 1.2e-7,
+    # losses within 2.2e-7 relative)
+    g, n, sizes, lr = 3, 70, (5, 6, 3, 1), 0.05
+    xs = gen.standard_normal((g, n, 5)).astype(np.float32)
+    ys = gen.standard_normal((g, n)).astype(np.float32)
+    weights = [gen.uniform(-1, 1, (g, a, b)).astype(np.float32) for a, b in zip(sizes, sizes[1:])]
+    biases = [gen.uniform(-0.5, 0.5, (g, 1, b)).astype(np.float32) for b in sizes[1:]]
+    tol = 8 * np.finfo(np.float32).eps
+    act, dact = neuralnet.ACTIVATIONS[activation]
+    for start in range(0, n, 32):
+        rows = slice(start, start + 32)
+        before = [([w[i].astype(float) for w in weights], [b[i, 0].astype(float) for b in biases])
+                  for i in range(g)]
+        losses = neuralnet._sgd_step(xs[:, rows], ys[:, rows], weights, biases, act, dact, lr)
+        assert all(w.dtype == b.dtype == np.float32 for w, b in zip(weights, biases))
+        for i, (w0, b0) in enumerate(before):
+            xb, yb = xs[i, rows].astype(float), ys[i, rows].astype(float)
+            w_ref, b_ref, loss = _reference_step(xb, yb, w0, b0, activation, lr)
+            assert max(np.abs(a - b).max() for a, b in zip(w_ref, w0)) >= 0.01
+            np.testing.assert_allclose(losses[i], loss, rtol=tol)
+            for t in range(len(weights)):
+                np.testing.assert_allclose(weights[t][i], w_ref[t], rtol=0, atol=tol)
+                np.testing.assert_allclose(biases[t][i, 0], b_ref[t], rtol=0, atol=tol)
+
+
+def test_output_layer_backprop_broadcast_is_bitwise_the_matmul(gen):
+    # back through the one-column output layer: (g, b, 1) gradients times
+    # the (g, 1, h) transposed weights
+    for g, b, h in [(25, 64, 16), (3, 6, 3), (1, 1, 1)]:
+        d_s = gen.standard_normal((g, b, 1)).astype(np.float32)
+        w_t = gen.standard_normal((g, h, 1)).astype(np.float32).transpose(0, 2, 1)
+        product = d_s * w_t
+        assert product.dtype == np.float32
+        assert np.array_equal(product, np.matmul(d_s, w_t))
 
 
 def test_results_are_float64(gen):

@@ -804,8 +804,8 @@ def test_thread_count_is_capped_by_cpus_items_and_memory(monkeypatch):
 def test_training_groups_follow_the_chunking_rule(monkeypatch, cpus, k, groups, pools):
     # nets of the ingm_linear shape (n = 300, d = 51, hidden (32, 16)):
     # the budget holds 33, so 50 nets make two balanced groups of 25, one
-    # round of two on two CPUs and two in sequence on one; one net runs
-    # inline
+    # round of two worker processes on two CPUs and two in sequence on
+    # one; one net runs inline
     gen = np.random.default_rng(3)
     x = gen.standard_normal((300, 51))
     cfg = NetConfig(hidden_sizes=(32, 16), epochs=0)
@@ -814,19 +814,20 @@ def test_training_groups_follow_the_chunking_rule(monkeypatch, cpus, k, groups, 
     started = []
     fitted = []
 
-    class RecordingPool(_parallel.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class RecordingPool(_parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    fit_stack = neuralnet._fit_stack
+    parallel_map = _parallel.parallel_map
 
-    def recording_fit_stack(xs, *args):
-        fitted.append(len(xs))
-        return fit_stack(xs, *args)
+    def recording_map(fn, jobs, workers):
+        # the groups' sizes as this process hands them to the workers
+        fitted.extend(len(job[0]) for job in jobs)
+        return parallel_map(fn, jobs, workers)
 
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(neuralnet, "_fit_stack", recording_fit_stack)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_parallel, "parallel_map", recording_map)
     nets = train_many([x] * k, x[:, 0], cfg, [RngSeed(1, i) for i in range(k)])
     assert len(nets) == k
     assert fitted == groups
