@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 
 # Memory the items of one thread map may hold at once: a tall design
 # runs fewer concurrent c-searches, each of which holds n x n arrays.
@@ -35,17 +36,25 @@ def _mark_worker() -> None:
     _IN_WORKER = True
 
 
+@contextmanager
+def process_map(workers: int):
+    """A ``map(fn, items) -> list`` on one pool of ``workers`` processes,
+    open for the block, so its calls share the pool's start and stop;
+    inline for one worker or fewer."""
+    if workers <= 1:
+        yield lambda fn, items: [fn(item) for item in items]
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_mark_worker) as pool:
+        yield lambda fn, items: list(pool.map(fn, items))
+
+
 def parallel_map(fn, items, threads: int = 1) -> list:
     """``[fn(item) for item in items]`` on up to ``threads`` processes,
     never more processes than items (a fork pool starts every worker at
     its first task)."""
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(
-        max_workers=min(threads, len(items)), initializer=_mark_worker
-    ) as pool:
-        return list(pool.map(fn, items))
+    with process_map(min(threads, len(items))) as map_items:
+        return map_items(fn, items)
 
 
 def _chunks(count: int, threads: int, item_bytes: int, budget: int = _GROUP_BYTES) -> list[range]:

@@ -10,23 +10,26 @@ are centered; K_W enters raw.  The mirror construction picks, for a
 feature x with perturbation z and remaining columns W, the scale c that
 minimizes the squared measure between u = x + c z and v = x - c z given
 W.  For linear kernels that minimizer has a closed form; for other
-kernels a bracketed golden-section search is used.
+kernels golden section searches a bracket around sd(x) / sd(z), the
+scale at which the halves' sample covariance var(x) - c**2 var(z) is
+zero (the unconditional Gaussian-mirror scale), and widens it when the
+minimizer lands at one of its ends.
 
 Both public entry points, ``conditional_dependence`` and ``minimize_c``,
 take data and validate it once; the private ``_gram``, ``_center`` and
 ``_dependence`` behind them trust their arguments.  K_U and K_V travel
 as one (2, n, n) stack, which ``_dependence`` centers in place.  The
 non-linear c-search builds one ``_Objective`` per feature.  It holds
-K_W, the bound c_max, and, for the gaussian family, the pairwise
-differences of x and of z scaled by the bandwidth resolved from x (x
-and z for the polynomial family), and it owns one (2, n, n) buffer.  An
-evaluation overwrites the buffer with the halves' Grams, one numpy call
-per step for both, and centers them there, each bitwise as if alone; it
-allocates no n x n array and reads no Gram's magnitude unless the
-measure comes out negative.  Objectives share nothing, so ``mirror``
-runs the features' searches on threads.  ``_linear_scales`` solves the
-linear quartic for every column of a design at once, for
-``minimize_c`` and the mirror construction.
+K_W, the bound c_max, the bracket's centre sd(x) / sd(z), and, for the
+gaussian family, the pairwise differences of x and of z scaled by the
+bandwidth resolved from x (x and z for the polynomial family), and it
+owns one (2, n, n) buffer.  An evaluation overwrites the buffer with
+the halves' Grams, one numpy call per step for both, and centers them
+there, each bitwise as if alone; it allocates no n x n array and reads
+no Gram's magnitude unless the measure comes out negative.  Objectives
+share nothing, so ``mirror`` runs the features' searches on threads.
+``_linear_scales`` solves the linear quartic for every column of a
+design at once, for ``minimize_c`` and the mirror construction.
 """
 
 from __future__ import annotations
@@ -45,9 +48,6 @@ _FAMILIES = ("linear", "gaussian", "polynomial")
 
 # Relative floor below which the quartic denominator counts as zero.
 _DENOM_REL_TOL = 1e-12
-
-# Points of the coarse grid that brackets the non-linear c-search's basin.
-_BRACKET_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -259,10 +259,12 @@ class CMinimizationResult:
 class SearchConfig:
     """Controls the scalar search used for non-linear kernels.
 
-    The search interval is [0, c_max_factor * ||x|| / ||z||]; a coarse
-    grid of 48 points locates the basin, then golden-section
-    refines to absolute tolerance tol_factor * c_max.  Both factors are
-    finite reals, stored as float: c_max_factor > 0, tol_factor in (0, 1).
+    The search interval is [0, c_max_factor * ||x|| / ||z||]; golden
+    section searches the part [r / 2, 2 r] of it around r = sd(x) / sd(z)
+    to absolute tolerance tol_factor * c_max, widening that bracket when
+    the minimizer lands within two tolerances of one of its inner ends.
+    Both factors are finite reals, stored as float: c_max_factor > 0,
+    tol_factor in (0, 1).
     """
 
     c_max_factor: float = 10.0
@@ -356,10 +358,11 @@ def _golden_section(f, a: float, b: float, tol: float):
 class _Objective:
     """One feature's c-search objective, c -> dep(x + c z, x - c z | W)**2.
 
-    What does not depend on c is built once, here: K_W, c_max, and what
-    the halves' kernel needs of x and z.  For the gaussian family that is
-    the bandwidth-scaled pairwise differences x_i - x_k and z_i - z_k
-    (scaled by 1 / (sqrt(2) h), h resolved from x), so that
+    What does not depend on c is built once, here: K_W, c_max, the
+    search's centre ``ratio`` = sd(x) / sd(z) (NaN for a constant z), and
+    what the halves' kernel needs of x and z.  For the gaussian family
+    that is the bandwidth-scaled pairwise differences x_i - x_k and
+    z_i - z_k (scaled by 1 / (sqrt(2) h), h resolved from x), so that
     K_U = exp(-(dx + c dz)**2) and K_V = exp(-(dx - c dz)**2); for the
     polynomial family it is x and z themselves.  The object also owns one
     (2, n, n) buffer (and a second, scratch for the power, for a
@@ -376,6 +379,8 @@ class _Objective:
         self.c_max = (
             search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
         )
+        sd_z = float(np.std(z))
+        self.ratio = float(np.std(x)) / sd_z if sd_z > 0.0 else math.nan
         if spec.family == "gaussian" and spec.bandwidth is None:
             spec = replace(spec, bandwidth=median_heuristic_bandwidth(x))
         self.spec = spec
@@ -440,13 +445,17 @@ def minimize_c(
     zero or unseen by w (g vanishes) raises DegeneratePerturbationError,
     and coefficients that overflow raise NumericalError.
 
-    Other kernels use a coarse grid to bracket the best basin on
-    [0, c_max] followed by golden-section refinement.  A gaussian
-    bandwidth left unset in ``spec`` is resolved once from x (for both
-    mirrored halves) and once from w, and K_W is built once, so the
-    objective is a fixed function of c.  A kernel that overflows (say a
-    high polynomial degree) raises NumericalError naming the kernel
-    family.
+    Other kernels search by golden section on [r / 2, 2 r] within
+    [0, c_max], r = sd(x) / sd(z), where var(x) - c**2 var(z), the
+    halves' sample covariance, is zero; the minimizer lies near it.  A c
+    within two tolerances of an end of the bracket other than 0 or c_max
+    widens that end (a low end to 0, a high end fourfold, at most to
+    c_max) and searches again, the evaluations adding up; a constant x
+    or z searches all of [0, c_max].  A gaussian bandwidth left unset in
+    ``spec`` is resolved once from x (for both mirrored halves) and once
+    from w, and K_W is built once, so the objective is a fixed function
+    of c.  A kernel that overflows (say a high polynomial degree) raises
+    NumericalError naming the kernel family.
     """
     spec = _check_type(spec, "spec", KernelSpec)
     search = _check_type(search, "search", SearchConfig)
@@ -473,17 +482,23 @@ def minimize_c(
 
 
 def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimizationResult:
-    """The grid-bracketed golden-section search of ``minimize_c``."""
+    """The bracketed golden-section search of ``minimize_c``."""
     c_max = objective.c_max
     if c_max == 0.0:
         # the one evaluation still catches a kernel that overflows on x
         objective(0.0)
         return CMinimizationResult(0.0, 1)
 
-    grid = np.linspace(0.0, c_max, _BRACKET_POINTS)
-    values = [objective(c) for c in grid]
-    best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    c_star, refinements = _golden_section(objective, lo, hi, search.tol_factor * c_max)
-    return CMinimizationResult(float(c_star), len(values) + refinements)
+    tol = search.tol_factor * c_max
+    r = objective.ratio
+    lo, hi = (min(r / 2.0, c_max), min(2.0 * r, c_max)) if 0.0 < r < math.inf else (0.0, c_max)
+    evaluations = 0
+    while True:
+        c_star, count = _golden_section(objective, lo, hi, tol)
+        evaluations += count
+        low_end = lo > 0.0 and c_star - lo <= 2.0 * tol
+        high_end = hi < c_max and hi - c_star <= 2.0 * tol
+        if not (low_end or high_end):
+            return CMinimizationResult(float(c_star), evaluations)
+        lo = 0.0 if low_end else lo
+        hi = min(4.0 * hi, c_max) if high_end else hi

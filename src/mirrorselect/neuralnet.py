@@ -331,11 +331,14 @@ def _fit_group(job) -> list:
     return _fit_stack(xs, np.broadcast_to(ys, (len(xs), ys.shape[1])), seeds, sizes, config)
 
 
-def _fit_round(prepared, groups, ys, y_scalers, seeds, sizes, config: NetConfig) -> list:
+def _fit_round(
+    map_groups, prepared, groups, ys, y_scalers, seeds, sizes, config: NetConfig
+) -> list:
     """Stack each group's designs, drawn in order from ``prepared``, then
-    fit the groups at once, one per worker process of ``parallel_map``.
-    Returns the round's nets in order, as ``train_many`` does; the stacks
-    are freed on return, before the next round draws its designs."""
+    fit the groups at once by ``map_groups``, one per worker process of
+    ``train_many``'s pool.  Returns the round's nets in order, as
+    ``train_many`` does; the stacks are freed on return, before the next
+    round draws its designs."""
     n, d = ys.shape[1], sizes[0]
     jobs = []
     scalers = []
@@ -358,7 +361,7 @@ def _fit_round(prepared, groups, ys, y_scalers, seeds, sizes, config: NetConfig)
         span = slice(group.start, group.stop)
         targets = ys if len(ys) == 1 else ys[span]
         jobs.append((stack, targets, seeds[span], sizes, config))
-    fits = _parallel.parallel_map(_fit_group, jobs, len(jobs))
+    fits = map_groups(_fit_group, jobs)
     y_scalers = y_scalers[groups[0].start : groups[-1].stop]
     nets = []
     for fit, (mean, scale), (y_mean, y_scale) in zip(chain(*fits), scalers, y_scalers):
@@ -390,11 +393,12 @@ def train_many(
 
     The nets are trained stacked, in float32, in near-equal groups whose
     designs and full-data activations fit a fixed memory budget.  Each
-    round fits one group per worker process of ``parallel_map``, at
-    once, and uses as few rounds as the budget allows; in a process of
-    the benchmark's pool, on one usable CPU or for one net the groups run
-    inline.  A group's designs and targets are pickled to its worker and
-    its nets back, bitwise.  ``designs`` is consumed one round at a time,
+    round fits one group per worker process, at once, and uses as few
+    rounds as the budget allows; one pool of ``_parallel.process_map``
+    serves every round of the call.  In a process of the benchmark's
+    pool, on one usable CPU or for one net the groups run inline.  A
+    group's designs and targets are pickled to its worker and its nets
+    back, bitwise.  ``designs`` is consumed one round at a time,
     so a generator keeps only the current round's designs in memory.
 
     Returns one entry per net: its TrainedNet, or the TrainingError that
@@ -444,9 +448,14 @@ def train_many(
         workers = _parallel._thread_count(fewest, _GROUP_BYTES)
         groups = _parallel._chunks(k, workers, net_bytes, _GROUP_BYTES)
         prepared = chain([head], prepared)
-        for first in range(0, len(groups), workers):
-            round_groups = groups[first : first + workers]
-            results += _fit_round(prepared, round_groups, ys, y_scalers, seeds, sizes, config)
+        # One pool serves every round: starting and stopping two workers
+        # takes 12-22 ms from a 50 MB process on two shared vCPUs.
+        with _parallel.process_map(min(workers, len(groups))) as map_groups:
+            for first in range(0, len(groups), workers):
+                round_groups = groups[first : first + workers]
+                results += _fit_round(
+                    map_groups, prepared, round_groups, ys, y_scalers, seeds, sizes, config
+                )
     if len(results) != k:
         raise ConfigurationError(f"expected {k} designs, got fewer")
     if next(designs, None) is not None:

@@ -2,6 +2,24 @@ import numpy as np
 import pytest
 
 from mirrorselect import _parallel
+from mirrorselect.kernelmeasure import _golden_section
+
+_REPORT = pytest.StashKey[list]()
+
+
+@pytest.fixture
+def report(request):
+    """A list whose lines are printed after the test session's summary,
+    so a count a test measured shows in the log of a passing run."""
+    return request.config.stash.setdefault(_REPORT, [])
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    lines = config.stash.get(_REPORT, [])
+    if lines:
+        terminalreporter.section("reported by tests")
+        for line in lines:
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture
@@ -64,6 +82,18 @@ def _batched_center(k):
         - k.mean(axis=2, keepdims=True)
         + k.mean(axis=(1, 2), keepdims=True)
     )
+
+
+def grid_search(objective, search):
+    """The non-linear c-search as it was before its bracket around
+    sd(x) / sd(z): ``objective`` at 48 evenly spaced points of
+    [0, c_max], then golden section to tol_factor * c_max between the
+    best point's neighbours.  Returns c*."""
+    grid = np.linspace(0.0, objective.c_max, 48)
+    values = [objective(c) for c in grid]
+    best = int(np.argmin(values))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    return _golden_section(objective, lo, hi, search.tol_factor * objective.c_max)[0]
 
 
 def pool_of(monkeypatch, threads):

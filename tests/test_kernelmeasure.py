@@ -20,7 +20,7 @@ from mirrorselect import (
 )
 from mirrorselect import kernelmeasure
 from mirrorselect.mirror import make_all_mirrors
-from conftest import dependence_on_grid, naive_conditional_dependence
+from conftest import dependence_on_grid, grid_search, naive_conditional_dependence
 
 LINEAR = KernelSpec("linear")
 
@@ -569,6 +569,8 @@ class _PublicObjective:
             * float(np.linalg.norm(x))
             / float(np.linalg.norm(z))
         )
+        sd_z = float(np.std(z))
+        self.ratio = float(np.std(x)) / sd_z if sd_z > 0.0 else math.nan
         self.x = x
         self.z = z
 
@@ -648,12 +650,12 @@ def test_objective_at_the_chosen_c_is_the_public_measure(gen, spec, w_columns):
     _assert_is_the_public_search(minimize_c(x, z, w, spec), x, z, w, spec)
 
 
-@pytest.mark.parametrize(
-    "seed, family",
-    enumerate(["gaussian", "gaussian-bandwidth", "polynomial-2", "polynomial-3"]),
-)
-def test_c_search_matches_the_public_search_battery(seed, family):
-    # 4 x 50 fixed-seed problems: W with 0-7 columns, n from 3 to 150
+_BATTERY = ["gaussian", "gaussian-bandwidth", "polynomial-2", "polynomial-3"]
+
+
+def _battery(seed, family):
+    """50 fixed-seed problems (x, z, w, spec) of one kernel family: W
+    with 0-7 columns, n from 3 to 150."""
     gen = np.random.default_rng(seed)
     for _ in range(50):
         n = int(gen.integers(3, 151))
@@ -666,7 +668,113 @@ def test_c_search_matches_the_public_search_battery(seed, family):
             spec = KernelSpec("gaussian", bandwidth=float(gen.uniform(0.3, 3.0)))
         else:
             spec = KernelSpec("polynomial", degree=int(family[-1]))
+        yield x, z, w, spec
+
+
+@pytest.mark.parametrize("seed, family", enumerate(_BATTERY))
+def test_c_search_matches_the_public_search_battery(seed, family):
+    for x, z, w, spec in _battery(seed, family):
         _assert_is_the_public_search(minimize_c(x, z, w, spec), x, z, w, spec)
+
+
+def test_c_search_matches_the_grid_search_oracle(monkeypatch, report):
+    # The battery above, and again with x shifted by 3: the search
+    # bracketed around sd(x) / sd(z) lands within two tolerances of the
+    # 48-point grid search it replaced, and at least one of its searches
+    # widens the bracket.  A search widened when it ran golden section
+    # more than once.
+    search = SearchConfig()
+    runs = []
+    golden = kernelmeasure._golden_section
+
+    def counting_golden(*args):
+        runs[-1] += 1
+        return golden(*args)
+
+    monkeypatch.setattr(kernelmeasure, "_golden_section", counting_golden)
+    widened = {}
+    for seed, family in enumerate(_BATTERY):
+        for shift in (0.0, 3.0):
+            label = f"{family} x+{shift:g}"
+            widened[label] = 0
+            for x, z, w, spec in _battery(seed, family):
+                x = x + shift
+                runs.append(0)
+                res = minimize_c(x, z, w, spec)
+                widened[label] += runs[-1] > 1
+                objective = kernelmeasure._Objective(x, z, w, spec, search)
+                c_grid = grid_search(objective, search)
+                assert abs(res.c_star - c_grid) <= 2.0 * search.tol_factor * objective.c_max
+    report.append(
+        f"c-search oracle battery: {sum(widened.values())} of {len(runs)} searches widened "
+        "(" + ", ".join(f"{label}: {count}" for label, count in widened.items()) + ")"
+    )
+    assert sum(widened.values()) >= 1
+
+
+class _Parabola:
+    """(c - c0)**2 as a c-search objective on [0, c_max] with the
+    bracket centre ``ratio``; counts its calls."""
+
+    def __init__(self, c0, ratio, c_max=10.0):
+        self.c0, self.ratio, self.c_max = c0, ratio, c_max
+        self.calls = 0
+
+    def __call__(self, c):
+        self.calls += 1
+        return (c - self.c0) ** 2
+
+
+@pytest.mark.parametrize(
+    "c0, ratio, brackets",
+    [
+        (1.5, 1.0, [(0.5, 2.0)]),
+        (0.0, 1.0, [(0.5, 2.0), (0.0, 2.0)]),
+        (5.0, 1.0, [(0.5, 2.0), (0.5, 8.0)]),
+        (10.0, 1.0, [(0.5, 2.0), (0.5, 8.0), (0.5, 10.0)]),
+        (3.0, 40.0, [(10.0, 10.0), (0.0, 10.0)]),
+        (3.0, 0.0, [(0.0, 10.0)]),
+        (3.0, math.inf, [(0.0, 10.0)]),
+        (3.0, math.nan, [(0.0, 10.0)]),
+    ],
+    ids=["inside", "at-0", "at-5r", "at-c_max", "r-past-c_max", "r-0", "r-inf", "r-nan"],
+)
+def test_scalar_search_widens_the_bracket(monkeypatch, c0, ratio, brackets):
+    # a c within two tolerances of an end other than 0 or c_max widens
+    # that end, a low one to 0 and a high one fourfold up to c_max; a
+    # ratio that is 0 or not finite searches all of [0, c_max]
+    objective = _Parabola(c0, ratio)
+    seen = []
+    golden = kernelmeasure._golden_section
+
+    def recording_golden(f, a, b, tol):
+        seen.append((a, b))
+        return golden(f, a, b, tol)
+
+    monkeypatch.setattr(kernelmeasure, "_golden_section", recording_golden)
+    search = SearchConfig()
+    res = kernelmeasure._scalar_search(objective, search)
+    assert seen == brackets
+    assert 0.0 <= res.c_star <= objective.c_max
+    assert abs(res.c_star - c0) <= search.tol_factor * objective.c_max
+    assert res.evaluations == objective.calls > 0
+
+
+def test_constant_x_or_z_searches_the_whole_interval(gen):
+    # sd(x) = 0 puts the bracket's centre at 0, sd(z) = 0 leaves it
+    # undefined: both search [0, c_max], without a warning (a constant z
+    # leaves the gaussian objective flat in c, so rounding picks its c)
+    n = 20
+    x = gen.standard_normal(n)
+    z = gen.standard_normal(n)
+    w = gen.standard_normal((n, 2))
+    spec = KernelSpec("gaussian")
+    for x_j, z_j, ratio in [(np.full(n, 2.0), z, 0.0), (x, np.full(n, 3.0), math.nan)]:
+        objective = kernelmeasure._Objective(x_j, z_j, w, spec, SearchConfig())
+        np.testing.assert_equal(objective.ratio, ratio)
+        res = minimize_c(x_j, z_j, w, spec)
+        assert 0.0 <= res.c_star <= objective.c_max
+        assert res.evaluations > 0
 
 
 @pytest.mark.parametrize(

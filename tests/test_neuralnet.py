@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import tracemalloc
@@ -268,18 +269,24 @@ def _two_nets_per_group(n=70, sizes=(5, 6, 3, 1)):
 
 def _record_rounds(monkeypatch, drawn=lambda: 0):
     """Record, in this process, each round of groups that ``train_many``
-    hands to the process map: (``drawn()`` when the round starts, when it
+    hands to its process map: (``drawn()`` when the round starts, when it
     ends, the groups' jobs, the groups' fits)."""
     rounds = []
-    parallel_map = _parallel.parallel_map
+    process_map = _parallel.process_map
 
-    def recording_map(fn, jobs, workers):
-        start = drawn()
-        fits = parallel_map(fn, jobs, workers)
-        rounds.append((start, drawn(), jobs, fits))
-        return fits
+    @contextlib.contextmanager
+    def recording_process_map(workers):
+        with process_map(workers) as map_groups:
 
-    monkeypatch.setattr(_parallel, "parallel_map", recording_map)
+            def recording_map(fn, jobs):
+                start = drawn()
+                fits = map_groups(fn, jobs)
+                rounds.append((start, drawn(), jobs, fits))
+                return fits
+
+            yield recording_map
+
+    monkeypatch.setattr(_parallel, "process_map", recording_process_map)
     return rounds
 
 
@@ -304,8 +311,8 @@ def test_train_many_equals_train(gen, activation, k):
 
 def test_train_many_across_groups(gen, monkeypatch):
     # a budget of two nets per group spreads seven nets over four groups:
-    # in sequence on one worker, in two rounds of two groups on two
-    # worker processes
+    # in sequence on one worker, in two rounds of two groups on one pool
+    # of two worker processes
     designs, y, seeds, pairs = _stack_problem(gen, 7)
     cfg = NetConfig(hidden_sizes=(6, 3), epochs=8, batch_size=32,
                     learning_rate=1e-2)
@@ -341,7 +348,7 @@ def test_train_many_across_groups(gen, monkeypatch):
         stacked = train_many(lazily(), y, cfg, seeds, pairs)
         jobs = [(start, end, job) for start, end, round_jobs, _ in rounds for job in round_jobs]
         assert [(start, end, len(job[0])) for start, end, job in jobs] == expected
-        assert pools == ([] if threads == 1 else [2, 2])
+        assert pools == ([] if threads == 1 else [2])
         # shared targets go to each group as one row and reach its fit as
         # a broadcast view, not copies
         assert [job[1].shape for _, _, job in jobs] == [(1, 70)] * 4
@@ -506,10 +513,10 @@ def test_stacks_stay_float32_and_equal_lone_runs(gen, monkeypatch, activation):
                     batch_size=32, learning_rate=1e-2)
     monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
     alone = _fit_alone(designs, y, cfg, seeds, pairs)
-    # four groups in two rounds of two worker processes
+    # four groups in two rounds on one pool of two worker processes
     pools = pool_of(monkeypatch, 2)
     _assert_identical(train_many(designs, y, cfg, seeds, pairs), alone)
-    assert pools == [2, 2]
+    assert pools == [2]
     # the dtype spies record in this process, so the groups fit here
     pool_of(monkeypatch, 1)
     seen = set()

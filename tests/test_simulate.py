@@ -1,6 +1,7 @@
 """Tests for synthetic designs, response models, metrics, ROC sweeps and
 the benchmark driver."""
 
+import contextlib
 import functools
 import math
 from dataclasses import asdict
@@ -799,13 +800,19 @@ def test_thread_count_is_capped_by_cpus_items_and_memory(monkeypatch):
 
 @pytest.mark.parametrize(
     "cpus, k, groups, pools",
-    [(2, 50, [25, 25], [2]), (1, 50, [25, 25], []), (2, 1, [1], [])],
+    [
+        (2, 50, [25, 25], [2]),
+        (1, 50, [25, 25], []),
+        (2, 1, [1], []),
+        (2, 200, [25] * 8, [2]),
+    ],
 )
 def test_training_groups_follow_the_chunking_rule(monkeypatch, cpus, k, groups, pools):
     # nets of the ingm_linear shape (n = 300, d = 51, hidden (32, 16)):
     # the budget holds 33, so 50 nets make two balanced groups of 25, one
     # round of two worker processes on two CPUs and two in sequence on
-    # one; one net runs inline
+    # one; one net runs inline; 200 nets make eight groups of 25 in four
+    # rounds, all on the one pool of two workers that the call starts
     gen = np.random.default_rng(3)
     x = gen.standard_normal((300, 51))
     cfg = NetConfig(hidden_sizes=(32, 16), epochs=0)
@@ -819,15 +826,21 @@ def test_training_groups_follow_the_chunking_rule(monkeypatch, cpus, k, groups, 
             started.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    parallel_map = _parallel.parallel_map
+    process_map = _parallel.process_map
 
-    def recording_map(fn, jobs, workers):
-        # the groups' sizes as this process hands them to the workers
-        fitted.extend(len(job[0]) for job in jobs)
-        return parallel_map(fn, jobs, workers)
+    @contextlib.contextmanager
+    def recording_process_map(workers):
+        with process_map(workers) as map_groups:
+
+            def recording_map(fn, jobs):
+                # the groups' sizes as this process hands them to the workers
+                fitted.extend(len(job[0]) for job in jobs)
+                return map_groups(fn, jobs)
+
+            yield recording_map
 
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(_parallel, "parallel_map", recording_map)
+    monkeypatch.setattr(_parallel, "process_map", recording_process_map)
     nets = train_many([x] * k, x[:, 0], cfg, [RngSeed(1, i) for i in range(k)])
     assert len(nets) == k
     assert fitted == groups
