@@ -6,13 +6,14 @@ Work units carry their own seeds and write nothing shared, so the result
 is identical whatever the worker count; parallelism only changes
 wall-clock time.  Training runs in processes because its many small
 numpy calls per minibatch would hand the interpreter lock back and
-forth between threads.  A process of ``parallel_map``'s pool runs its
-thread maps and its training inline, so the benchmark's worker count
-stays the one control of its parallelism.
+forth between threads.  Any ``multiprocessing`` worker process, such as
+``parallel_map``'s, runs its thread maps and its training inline, so
+the benchmark's worker count stays the one control of its parallelism.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -27,24 +28,16 @@ _THREAD_BYTES = 100_000_000
 # of a chunk of benchmark reps.
 _GROUP_BYTES = 4_000_000
 
-# True in a process of parallel_map's pool.
-_IN_WORKER = False
-
-
-def _mark_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
-
 
 @contextmanager
 def process_map(workers: int):
     """A ``map(fn, items) -> list`` on one pool of ``workers`` processes,
     open for the block, so its calls share the pool's start and stop;
-    inline for one worker or fewer."""
+    inline for one worker or fewer.  Its workers run their maps inline."""
     if workers <= 1:
         yield lambda fn, items: [fn(item) for item in items]
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_mark_worker) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield lambda fn, items: list(pool.map(fn, items))
 
 
@@ -79,8 +72,8 @@ def _thread_count(count: int, item_bytes: int) -> int:
     """Threads, or ``train_many``'s worker processes, for ``count`` items
     of ``item_bytes`` each: the smallest of the usable CPUs, the item
     count and the items ``_THREAD_BYTES`` holds, at least 1; always 1 in
-    a process of ``parallel_map``'s pool."""
-    if _IN_WORKER:
+    a worker process, one that ``multiprocessing`` started."""
+    if multiprocessing.parent_process() is not None:
         return 1
     return max(1, min(_cpus(), count, _THREAD_BYTES // item_bytes))
 

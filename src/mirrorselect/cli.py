@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy
 
-from . import __version__
+from . import __version__, _parallel
 from .dataset import Dataset
 from .errors import ConfigurationError, MirrorSelectError
 from .io import (
@@ -63,7 +62,7 @@ _RUNNERS = {
 
 def _parse_threads(value: str) -> int:
     if value == "auto":
-        return os.cpu_count() or 1
+        return _parallel._cpus()
     try:
         n = int(value)
     except ValueError:
@@ -179,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_parse_threads,
         default=1,
-        help="worker processes for the repetitions, or 'auto'; a worker "
-        "runs its mirror searches and its training inline, in no pool of its own",
+        help="worker processes for the repetitions, or 'auto' (the usable CPUs); a "
+        "worker runs its mirror searches and its training inline, in no pool of its own",
     )
     _add_design(p_bench)
     _add_method(p_bench)

@@ -359,10 +359,11 @@ class _Objective:
     """One feature's c-search objective, c -> dep(x + c z, x - c z | W)**2.
 
     What does not depend on c is built once, here: K_W, c_max, the
-    search's centre ``ratio`` = sd(x) / sd(z) (NaN for a constant z), and
-    what the halves' kernel needs of x and z.  For the gaussian family
-    that is the bandwidth-scaled pairwise differences x_i - x_k and
-    z_i - z_k (scaled by 1 / (sqrt(2) h), h resolved from x), so that
+    search's centre ``ratio`` = sd(x) / sd(z) (0 for a constant x, NaN
+    for a constant z), and what the halves' kernel needs of x and z.
+    For the gaussian family that is the bandwidth-scaled pairwise
+    differences x_i - x_k and z_i - z_k (scaled by 1 / (sqrt(2) h), h
+    resolved from x), so that
     K_U = exp(-(dx + c dz)**2) and K_V = exp(-(dx - c dz)**2); for the
     polynomial family it is x and z themselves.  The object also owns one
     (2, n, n) buffer (and a second, scratch for the power, for a
@@ -380,7 +381,7 @@ class _Objective:
             search.c_max_factor * float(np.linalg.norm(x)) / float(np.linalg.norm(z))
         )
         sd_z = float(np.std(z))
-        self.ratio = float(np.std(x)) / sd_z if sd_z > 0.0 else math.nan
+        self.ratio = 0.0 if np.ptp(x) == 0.0 else float(np.std(x)) / sd_z if sd_z > 0.0 else math.nan
         if spec.family == "gaussian" and spec.bandwidth is None:
             spec = replace(spec, bandwidth=median_heuristic_bandwidth(x))
         self.spec = spec
@@ -450,12 +451,13 @@ def minimize_c(
     halves' sample covariance, is zero; the minimizer lies near it.  A c
     within two tolerances of an end of the bracket other than 0 or c_max
     widens that end (a low end to 0, a high end fourfold, at most to
-    c_max) and searches again, the evaluations adding up; a constant x
-    or z searches all of [0, c_max].  A gaussian bandwidth left unset in
-    ``spec`` is resolved once from x (for both mirrored halves) and once
-    from w, and K_W is built once, so the objective is a fixed function
-    of c.  A kernel that overflows (say a high polynomial degree) raises
-    NumericalError naming the kernel family.
+    c_max) and searches again, the evaluations adding up.  A constant x
+    gives c = 0 (equal halves, objective 0) after one evaluation; a
+    constant z searches all of [0, c_max].  A gaussian bandwidth left
+    unset in ``spec`` is resolved once from x (for both mirrored halves)
+    and once from w, and K_W is built once, so the objective is a fixed
+    function of c.  A kernel that overflows (say a high polynomial
+    degree) raises NumericalError naming the kernel family.
     """
     spec = _check_type(spec, "spec", KernelSpec)
     search = _check_type(search, "search", SearchConfig)
@@ -483,15 +485,15 @@ def minimize_c(
 
 def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimizationResult:
     """The bracketed golden-section search of ``minimize_c``."""
-    c_max = objective.c_max
-    if c_max == 0.0:
-        # the one evaluation still catches a kernel that overflows on x
+    r = objective.ratio
+    if r == 0.0:
+        # a constant x; one evaluation still catches a kernel overflow
         objective(0.0)
         return CMinimizationResult(0.0, 1)
 
+    c_max = objective.c_max
     tol = search.tol_factor * c_max
-    r = objective.ratio
-    lo, hi = (min(r / 2.0, c_max), min(2.0 * r, c_max)) if 0.0 < r < math.inf else (0.0, c_max)
+    lo, hi = (min(r / 2.0, c_max), min(2.0 * r, c_max)) if r < math.inf else (0.0, c_max)
     evaluations = 0
     while True:
         c_star, count = _golden_section(objective, lo, hi, tol)

@@ -185,18 +185,14 @@ def _checked(inputs, n: int, config: NetConfig) -> np.ndarray:
 
 def _scaler(x: np.ndarray, paired_columns):
     """Column (mean, scale) of a checked design: the net trains on
-    (x - mean) / scale.  Each (i, j) in ``paired_columns`` shares the
-    root mean square of the two columns' standard deviations."""
-    d = x.shape[1]
+    (x - mean) / scale.  Each (i, j) in the checked ``paired_columns``
+    shares the root mean square of the two columns' standard deviations."""
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
-    if paired_columns is not None:
-        for i, j in paired_columns:
-            if not (0 <= i < d and 0 <= j < d):
-                raise ConfigurationError(f"paired columns ({i}, {j}) out of range")
-            shared = math.sqrt((scale[i] ** 2 + scale[j] ** 2) / 2.0)
-            scale[i] = shared
-            scale[j] = shared
+    for i, j in paired_columns:
+        shared = math.sqrt((scale[i] ** 2 + scale[j] ** 2) / 2.0)
+        scale[i] = shared
+        scale[j] = shared
     return mean, np.where(scale < _SCALE_FLOOR, 1.0, scale)
 
 
@@ -325,10 +321,15 @@ def _fit_stack(xs, ys, seeds, sizes, config: NetConfig) -> list:
 
 
 def _fit_group(job) -> list:
-    """``_fit_stack`` on one group: (designs, targets, seeds, sizes,
-    config).  Shared targets arrive as one row and are broadcast here."""
-    xs, ys, seeds, sizes, config = job
-    return _fit_stack(xs, np.broadcast_to(ys, (len(xs), ys.shape[1])), seeds, sizes, config)
+    """One group's nets, each a TrainedNet or its TrainingError, from the
+    job (designs, targets, seeds, sizes, config, scalers): scalers holds
+    each net's input mean and scale and target mean and scale."""
+    xs, ys, seeds, sizes, config, scalers = job
+    return [
+        fit if isinstance(fit, TrainingError)
+        else TrainedNet(fit[0], fit[1], config.activation, fit[2], *scaler)
+        for fit, scaler in zip(_fit_stack(xs, ys, seeds, sizes, config), scalers)
+    ]
 
 
 def _fit_round(
@@ -336,17 +337,16 @@ def _fit_round(
 ) -> list:
     """Stack each group's designs, drawn in order from ``prepared``, then
     fit the groups at once by ``map_groups``, one per worker process of
-    ``train_many``'s pool.  Returns the round's nets in order, as
-    ``train_many`` does; the stacks are freed on return, before the next
-    round draws its designs."""
+    ``train_many``'s pool, each into finished nets.  Returns the round's
+    nets in order, as ``train_many`` does; the stacks are freed on
+    return, before the next round draws its designs."""
     n, d = ys.shape[1], sizes[0]
     jobs = []
-    scalers = []
     for group in groups:
         # The stack precedes the statistics' n x d temporaries: measured
         # 3 MB less peak RSS for a 4000 x 200 design than the reverse.
         stack = np.empty((len(group), n, d), _STACK_DTYPE)
-        drawn = len(scalers)
+        scalers = []
         for i, (x, p) in zip(group, prepared):
             if x.shape[1] != d:
                 raise InvalidDataError(
@@ -355,22 +355,12 @@ def _fit_round(
             mean, scale = _scaler(x, p)
             # Divided in float64, rounded to float32 once on the way in.
             np.divide(x - mean, scale, out=stack[i - group.start])
-            scalers.append((mean, scale))
-        if len(scalers) - drawn < len(group):
+            scalers.append((mean, scale, *y_scalers[i]))
+        if len(scalers) < len(group):
             raise ConfigurationError(f"expected {len(seeds)} designs, got fewer")
         span = slice(group.start, group.stop)
-        targets = ys if len(ys) == 1 else ys[span]
-        jobs.append((stack, targets, seeds[span], sizes, config))
-    fits = map_groups(_fit_group, jobs)
-    y_scalers = y_scalers[groups[0].start : groups[-1].stop]
-    nets = []
-    for fit, (mean, scale), (y_mean, y_scale) in zip(chain(*fits), scalers, y_scalers):
-        if isinstance(fit, TrainingError):
-            nets.append(fit)
-            continue
-        w, b, trace = fit
-        nets.append(TrainedNet(w, b, config.activation, trace, mean, scale, y_mean, y_scale))
-    return nets
+        jobs.append((stack, ys[span], seeds[span], sizes, config, scalers))
+    return list(chain.from_iterable(map_groups(_fit_group, jobs)))
 
 
 def train_many(
@@ -385,21 +375,22 @@ def train_many(
     Net i trains on the i-th of the k matrices that ``designs`` yields,
     draws its initial weights and epoch permutations from the RngSeed
     ``seeds[i]`` and shares scales across the column pairs in
-    ``paired_columns[i]``.  ``targets`` is one vector of n
-    values that every net fits, or a (k, n) array whose row i net i
-    fits; each net standardizes its own targets.  Each net comes out
-    bitwise equal to ``train`` fitting it alone, whatever is stacked
-    beside it.
+    ``paired_columns[i]``, all checked before any net is fitted.
+    ``targets`` is one vector of n values that every net fits, or a
+    (k, n) array whose row i net i fits; each net standardizes its own
+    targets.  Each net comes out bitwise equal to ``train`` fitting it
+    alone, whatever is stacked beside it.
 
     The nets are trained stacked, in float32, in near-equal groups whose
     designs and full-data activations fit a fixed memory budget.  Each
     round fits one group per worker process, at once, and uses as few
     rounds as the budget allows; one pool of ``_parallel.process_map``
-    serves every round of the call.  In a process of the benchmark's
-    pool, on one usable CPU or for one net the groups run inline.  A
-    group's designs and targets are pickled to its worker and its nets
-    back, bitwise.  ``designs`` is consumed one round at a time,
-    so a generator keeps only the current round's designs in memory.
+    serves every round of the call.  In any ``multiprocessing`` worker
+    process, on one usable CPU or for one net the groups run inline.  A
+    group's designs, target rows and scalers are pickled to its worker
+    and its finished nets back, bitwise.  ``designs`` is consumed one
+    round at a time, so a generator keeps only the current round's
+    designs in memory.
 
     Returns one entry per net: its TrainedNet, or the TrainingError that
     ``train`` would have raised for it.  A diverging net leaves the other
@@ -409,6 +400,7 @@ def train_many(
     seeds = [_check_type(seed, "each seed", RngSeed) for seed in seeds]
     k = len(seeds)
     pairs = [None] * k if paired_columns is None else list(paired_columns)
+    pairs = [[] if p is None else list(p) for p in pairs]
     if len(pairs) != k:
         raise ConfigurationError(
             f"got {len(pairs)} paired-column lists for {k} nets"
@@ -427,9 +419,8 @@ def train_many(
     y_mean = y.mean(axis=1, keepdims=True)
     y_scale = y.std(axis=1, keepdims=True)
     y_scale[y_scale < _SCALE_FLOOR] = 1.0
-    # Shared targets stay one row, broadcast to a group's nets where it
-    # is fitted.
-    ys = ((y - y_mean) / y_scale).astype(_STACK_DTYPE)
+    # One row per net, a broadcast view of one row for shared targets.
+    ys = np.broadcast_to(((y - y_mean) / y_scale).astype(_STACK_DTYPE), (k, n))
     y_scalers = np.broadcast_to(np.hstack([y_mean, y_scale]), (k, 2)).tolist()
 
     # Pairs lead the zip, so no design past the k-th is drawn early.
@@ -439,6 +430,9 @@ def train_many(
     head = next(prepared, None)
     if head is not None:
         d = head[0].shape[1]
+        for i, j in chain.from_iterable(pairs):
+            if not (0 <= i < d and 0 <= j < d):
+                raise ConfigurationError(f"paired columns ({i}, {j}) out of range")
         sizes = [d, *(config.hidden_sizes or default_hidden_sizes(d)), 1]
         net_bytes = _STACK_DTYPE.itemsize * n * sum(sizes)
         # A worker for each of the fewest groups the budget allows; the

@@ -35,6 +35,7 @@ from mirrorselect import (
     write_dataset_csv,
     write_json,
 )
+from mirrorselect import _parallel
 from mirrorselect.cli import _parse_hidden, _parse_threads, main
 
 
@@ -301,8 +302,16 @@ class TestLoadTruth:
         assert load_truth(path) == frozenset({0, 3})
 
 
+def test_auto_threads_count_the_cpus_the_process_may_use(monkeypatch):
+    # under an affinity mask (taskset), os.cpu_count() still counts every
+    # CPU of the machine; 'auto' takes the count the pools size by
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+    assert _parse_threads("auto") == 1
+
+
 def test_threads_and_hidden_parsers():
-    assert _parse_threads("auto") == (os.cpu_count() or 1)
+    assert _parse_threads("auto") == _parallel._cpus()
     assert _parse_threads("3") == 3
     for value, message in (("two", "must be an integer or 'auto'"), ("0", "at least 1")):
         with pytest.raises(argparse.ArgumentTypeError, match=message):

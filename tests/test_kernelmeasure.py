@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mirrorselect import (
+    CMinimizationResult,
     ConfigurationError,
     Dataset,
     DegeneratePerturbationError,
@@ -733,7 +734,7 @@ class _Parabola:
         (5.0, 1.0, [(0.5, 2.0), (0.5, 8.0)]),
         (10.0, 1.0, [(0.5, 2.0), (0.5, 8.0), (0.5, 10.0)]),
         (3.0, 40.0, [(10.0, 10.0), (0.0, 10.0)]),
-        (3.0, 0.0, [(0.0, 10.0)]),
+        (0.0, 0.0, []),
         (3.0, math.inf, [(0.0, 10.0)]),
         (3.0, math.nan, [(0.0, 10.0)]),
     ],
@@ -742,7 +743,8 @@ class _Parabola:
 def test_scalar_search_widens_the_bracket(monkeypatch, c0, ratio, brackets):
     # a c within two tolerances of an end other than 0 or c_max widens
     # that end, a low one to 0 and a high one fourfold up to c_max; a
-    # ratio that is 0 or not finite searches all of [0, c_max]
+    # ratio of 0 (a constant x) evaluates c = 0 alone, and one that is
+    # not finite searches all of [0, c_max]
     objective = _Parabola(c0, ratio)
     seen = []
     golden = kernelmeasure._golden_section
@@ -760,21 +762,41 @@ def test_scalar_search_widens_the_bracket(monkeypatch, c0, ratio, brackets):
     assert res.evaluations == objective.calls > 0
 
 
-def test_constant_x_or_z_searches_the_whole_interval(gen):
-    # sd(x) = 0 puts the bracket's centre at 0, sd(z) = 0 leaves it
-    # undefined: both search [0, c_max], without a warning (a constant z
-    # leaves the gaussian objective flat in c, so rounding picks its c)
+def test_constant_z_searches_the_whole_interval(gen):
+    # sd(z) = 0 leaves the bracket's centre undefined: the search covers
+    # [0, c_max], without a warning (a constant z leaves the gaussian
+    # objective flat in c, so rounding picks its c)
     n = 20
     x = gen.standard_normal(n)
-    z = gen.standard_normal(n)
     w = gen.standard_normal((n, 2))
     spec = KernelSpec("gaussian")
-    for x_j, z_j, ratio in [(np.full(n, 2.0), z, 0.0), (x, np.full(n, 3.0), math.nan)]:
-        objective = kernelmeasure._Objective(x_j, z_j, w, spec, SearchConfig())
-        np.testing.assert_equal(objective.ratio, ratio)
-        res = minimize_c(x_j, z_j, w, spec)
-        assert 0.0 <= res.c_star <= objective.c_max
-        assert res.evaluations > 0
+    z = np.full(n, 3.0)
+    objective = kernelmeasure._Objective(x, z, w, spec, SearchConfig())
+    assert math.isnan(objective.ratio)
+    res = minimize_c(x, z, w, spec)
+    assert 0.0 <= res.c_star <= objective.c_max
+    assert res.evaluations > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec("gaussian"), KernelSpec("polynomial", degree=3)],
+    ids=["gaussian", "polynomial"],
+)
+def test_constant_x_gives_c_zero_after_one_evaluation(spec):
+    # a constant x: at c = 0 both halves are x and the objective is 0,
+    # while on [0, c_max] it is not unimodal; the one evaluation is the
+    # one that catches a kernel overflow.  2.0 has an sd of exactly 0,
+    # 0.1 one of about 3e-17 from its rounded mean.
+    gen = np.random.default_rng(0)
+    z = gen.standard_normal(50)
+    w = gen.standard_normal((50, 3))
+    exact, rounded = np.full(50, 2.0), np.full(50, 0.1)
+    assert np.std(exact) == 0.0 < np.std(rounded)
+    assert kernelmeasure._Objective(exact, z, w, spec, SearchConfig())(0.0) == 0.0
+    for x in (exact, rounded):
+        assert kernelmeasure._Objective(x, z, w, spec, SearchConfig()).ratio == 0.0
+        assert minimize_c(x, z, w, spec) == CMinimizationResult(0.0, 1)
 
 
 @pytest.mark.parametrize(

@@ -217,6 +217,30 @@ def test_one_full_data_forward_per_fit(gen, monkeypatch):
     assert calls == {"fit": 5, "full": 5}
 
 
+def test_paired_columns_are_checked_before_any_fit(gen, monkeypatch):
+    # a pair out of range on the last of seven nets in groups of two is
+    # an error before the first group is fitted
+    designs, y, seeds, pairs = _stack_problem(gen, 7)
+    pairs[-1] = [(0, 5)]
+    cfg = NetConfig(hidden_sizes=(6, 3), epochs=2, batch_size=32)
+    monkeypatch.setattr(neuralnet, "_GROUP_BYTES", _two_nets_per_group())
+    pool_of(monkeypatch, 1)  # the groups fit in this process, where the spy counts
+    fits = []
+    fit_stack = neuralnet._fit_stack
+
+    def counting_fit_stack(*args):
+        fits.append(len(args[0]))
+        return fit_stack(*args)
+
+    monkeypatch.setattr(neuralnet, "_fit_stack", counting_fit_stack)
+    with pytest.raises(ConfigurationError, match=r"paired columns \(0, 5\) out of range"):
+        train_many(designs, y, cfg, seeds, pairs)
+    assert fits == []
+    pairs[-1] = [(0, 4)]
+    assert len(train_many(designs, y, cfg, seeds, pairs)) == 7
+    assert fits == [2, 2, 2, 1]
+
+
 def test_predictions_on_raw_scale(gen):
     x = 4.0 + 2.0 * gen.standard_normal((120, 2))
     y = 10.0 + x[:, 0]
@@ -349,13 +373,15 @@ def test_train_many_across_groups(gen, monkeypatch):
         jobs = [(start, end, job) for start, end, round_jobs, _ in rounds for job in round_jobs]
         assert [(start, end, len(job[0])) for start, end, job in jobs] == expected
         assert pools == ([] if threads == 1 else [2])
-        # shared targets go to each group as one row and reach its fit as
-        # a broadcast view, not copies
-        assert [job[1].shape for _, _, job in jobs] == [(1, 70)] * 4
+        # shared targets go to each group as its rows of one broadcast
+        # view: a fit in this process sees the view, a worker's fit a
+        # pickled copy of the group's rows
+        assert [job[1].shape for _, _, job in jobs] == [(2, 70)] * 3 + [(1, 70)]
+        assert [job[1].strides[0] for _, _, job in jobs] == [0] * 4
         seen = []
         while not strides.empty():
             seen.append(strides.get())
-        assert seen == [0, 0, 0, 0]
+        assert seen == [0 if threads == 1 else 70 * 4] * 4
         _assert_identical(stacked, alone)
     strides.close()
 

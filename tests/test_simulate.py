@@ -4,6 +4,7 @@ the benchmark driver."""
 import contextlib
 import functools
 import math
+import multiprocessing
 from dataclasses import asdict
 
 import numpy as np
@@ -848,9 +849,26 @@ def test_training_groups_follow_the_chunking_rule(monkeypatch, cpus, k, groups, 
 
 
 def test_thread_maps_run_inline_in_parallel_map_workers(monkeypatch):
-    # the pool's initializer marks its processes; the caller stays unmarked
+    # the pool's processes are workers; the caller is not
     monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
     count = functools.partial(_parallel._thread_count, 4)
     assert count(8) == 4
     assert _parallel.parallel_map(count, [8, 8], threads=2) == [1, 1]
     assert count(8) == 4
+
+
+def test_any_multiprocessing_worker_runs_its_maps_inline(monkeypatch):
+    # a process that multiprocessing starts, outside process_map's pools
+    # (say a user's multiprocessing.Pool), sizes its maps to one as well
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    worker = context.Process(target=lambda: send.send(_parallel._thread_count(4, 8)))
+    worker.start()
+    assert receive.poll(60)
+    assert receive.recv() == 1
+    worker.join(60)
+    assert worker.exitcode == 0
+    assert _parallel._thread_count(4, 8) == 4
+    receive.close()
+    send.close()
