@@ -40,7 +40,7 @@ def main():
     pair = make_all_mirrors(ds, KernelSpec("linear"), rng=RngSeed(11))[0]
     describe(pair, x[:, 0], np.delete(x, 0, axis=1))
 
-    print("\ngaussian kernel, golden-section search:")
+    print("\ngaussian kernel, Brent search:")
     pair = make_all_mirrors(ds, KernelSpec("gaussian"), rng=RngSeed(11))[0]
     describe(pair, x[:, 0], np.delete(x, 0, axis=1))
 

@@ -10,7 +10,8 @@ are centered; K_W enters raw.  The mirror construction picks, for a
 feature x with perturbation z and remaining columns W, the scale c that
 minimizes the squared measure between u = x + c z and v = x - c z given
 W.  For linear kernels that minimizer has a closed form; for other
-kernels golden section searches a bracket around sd(x) / sd(z), the
+kernels Brent's method (parabolic interpolation with golden-section
+steps to fall back on) searches a bracket around sd(x) / sd(z), the
 scale at which the halves' sample covariance var(x) - c**2 var(z) is
 zero (the unconditional Gaussian-mirror scale), and widens it when the
 minimizer lands at one of its ends.
@@ -58,6 +59,13 @@ class KernelSpec:
     means "resolve by the median pairwise distance heuristic at evaluation
     time".  ``degree`` (int >= 1) and ``offset`` (float >= 0) apply to the
     polynomial family.
+
+    Inputs should be standardized.  The polynomial c-search objective is
+    dominated by rounding for a nearly constant column far from 0: its
+    halves' Grams are then nearly constant matrices of about
+    (x**2 + offset)**degree, whose centering does not cancel exactly.
+    For x = 100000.1 repeated 50 times and degree 3 the objective at
+    c = 0 comes out as 4.9e58, where its value is 0.
     """
 
     family: str = "gaussian"
@@ -259,10 +267,12 @@ class CMinimizationResult:
 class SearchConfig:
     """Controls the scalar search used for non-linear kernels.
 
-    The search interval is [0, c_max_factor * ||x|| / ||z||]; golden
-    section searches the part [r / 2, 2 r] of it around r = sd(x) / sd(z)
-    to absolute tolerance tol_factor * c_max, widening that bracket when
-    the minimizer lands within two tolerances of one of its inner ends.
+    The search interval is [0, c_max_factor * ||x|| / ||z||]; Brent's
+    method searches the part [r / 2, 2 r] of it around r = sd(x) / sd(z)
+    to absolute tolerance tol = tol_factor * c_max (for a unimodal
+    objective its c lies within 2/3 tol + 3e-8 c of the minimizer),
+    widening that bracket when the minimizer lands within two tolerances
+    of one of its inner ends.
     Both factors are finite reals, stored as float: c_max_factor > 0,
     tol_factor in (0, 1).
     """
@@ -327,32 +337,73 @@ def _linear_scales(design, z, names=None) -> np.ndarray:
     return np.sqrt(np.maximum(beta, 0.0) / gamma)
 
 
-def _golden_section(f, a: float, b: float, tol: float):
-    """Golden-section minimization on [a, b]; returns (x, evaluations)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi_sq = (3.0 - math.sqrt(5.0)) / 2.0
-    h = b - a
-    if h <= tol:
-        return (a + b) / 2.0, 0
-    steps = int(math.ceil(math.log(tol / h) / math.log(inv_phi)))
-    c = a + inv_phi_sq * h
-    d = a + inv_phi * h
-    yc = f(c)
-    yd = f(d)
-    evals = 2
-    for _ in range(steps - 1):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= inv_phi
-            c = a + inv_phi_sq * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= inv_phi
-            d = a + inv_phi * h
-            yd = f(d)
+# Golden-section fraction (3 - sqrt(5)) / 2 and Brent's relative floor
+# sqrt(machine epsilon) on the step near x.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def _brent(f, a: float, b: float, tol: float):
+    """Brent's minimization of f on [a, b] (Algorithms for Minimization
+    without Derivatives, 1973, ch. 5); returns (x, evaluations).
+
+    Each step fits a parabola through the three best points and takes
+    its vertex when that lies inside [a, b] and moves less than half the
+    step before last; otherwise it takes a golden-section step into the
+    larger part of [a, b].  No evaluation falls within tol1 = tol / 3 +
+    sqrt(eps) |x| of the best point x, and the search stops once [a, b]
+    lies within 2 tol1 of x.  [a, b] always holds the minimizer of a
+    unimodal f, so x lies within 2 tol1 of it: 2/3 tol plus a relative
+    part under 3e-8 |x|, which keeps a tol below the spacing of floats
+    from stalling the search.
+    """
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    evals = 1
+    d = e = 0.0
+    while True:
+        mid = (a + b) / 2.0
+        tol1 = tol / 3.0 + _SQRT_EPS * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - (b - a) / 2.0:
+            return x, evals
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(q * e_prev / 2.0) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if x <= mid else -tol1
+        if golden:
+            e = (a - x) if x >= mid else (b - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else tol1 if d >= 0.0 else -tol1)
+        fu = f(u)
         evals += 1
-    return (a + d) / 2.0 if yc < yd else (c + b) / 2.0, evals
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 class _Objective:
@@ -446,9 +497,14 @@ def minimize_c(
     zero or unseen by w (g vanishes) raises DegeneratePerturbationError,
     and coefficients that overflow raise NumericalError.
 
-    Other kernels search by golden section on [r / 2, 2 r] within
+    Other kernels search by Brent's method on [r / 2, 2 r] within
     [0, c_max], r = sd(x) / sd(z), where var(x) - c**2 var(z), the
-    halves' sample covariance, is zero; the minimizer lies near it.  A c
+    halves' sample covariance, is zero; the minimizer lies near it.
+    Brent fits parabolas through its three best points and falls back
+    on golden-section steps, and stops with c within 2/3 tol (plus
+    3e-8 c) of the minimizer of a unimodal objective, tol being
+    tol_factor * c_max; on ``sngm_gaussian`` that takes about 11
+    evaluations per feature, against 26 for golden section.  A c
     within two tolerances of an end of the bracket other than 0 or c_max
     widens that end (a low end to 0, a high end fourfold, at most to
     c_max) and searches again, the evaluations adding up.  A constant x
@@ -484,7 +540,7 @@ def minimize_c(
 
 
 def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimizationResult:
-    """The bracketed golden-section search of ``minimize_c``."""
+    """The bracketed Brent search of ``minimize_c``."""
     r = objective.ratio
     if r == 0.0:
         # a constant x; one evaluation still catches a kernel overflow
@@ -496,7 +552,7 @@ def _scalar_search(objective: _Objective, search: SearchConfig) -> CMinimization
     lo, hi = (min(r / 2.0, c_max), min(2.0 * r, c_max)) if r < math.inf else (0.0, c_max)
     evaluations = 0
     while True:
-        c_star, count = _golden_section(objective, lo, hi, tol)
+        c_star, count = _brent(objective, lo, hi, tol)
         evaluations += count
         low_end = lo > 0.0 and c_star - lo <= 2.0 * tol
         high_end = hi < c_max and hi - c_star <= 2.0 * tol

@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
 from mirrorselect import _parallel
-from mirrorselect.kernelmeasure import _golden_section
 
 _REPORT = pytest.StashKey[list]()
 
@@ -84,6 +85,34 @@ def _batched_center(k):
     )
 
 
+def golden_section(f, a, b, tol):
+    """Golden-section minimization on [a, b]; returns (x, evaluations)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    inv_phi_sq = (3.0 - math.sqrt(5.0)) / 2.0
+    h = b - a
+    if h <= tol:
+        return (a + b) / 2.0, 0
+    steps = int(math.ceil(math.log(tol / h) / math.log(inv_phi)))
+    c = a + inv_phi_sq * h
+    d = a + inv_phi * h
+    yc = f(c)
+    yd = f(d)
+    evals = 2
+    for _ in range(steps - 1):
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h *= inv_phi
+            c = a + inv_phi_sq * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= inv_phi
+            d = a + inv_phi * h
+            yd = f(d)
+        evals += 1
+    return (a + d) / 2.0 if yc < yd else (c + b) / 2.0, evals
+
+
 def grid_search(objective, search):
     """The non-linear c-search as it was before its bracket around
     sd(x) / sd(z): ``objective`` at 48 evenly spaced points of
@@ -93,7 +122,7 @@ def grid_search(objective, search):
     values = [objective(c) for c in grid]
     best = int(np.argmin(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-    return _golden_section(objective, lo, hi, search.tol_factor * objective.c_max)[0]
+    return golden_section(objective, lo, hi, search.tol_factor * objective.c_max)[0]
 
 
 def pool_of(monkeypatch, threads):
